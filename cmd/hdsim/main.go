@@ -76,6 +76,9 @@ func main() {
 	if err := cliutil.ValidateTraceFormat(*traceFormat, *tracePath); err != nil {
 		log.Fatal(err)
 	}
+	if err := cliutil.ValidateSize(*n, *l); err != nil {
+		log.Fatal(err)
+	}
 	if err := cliutil.ValidateBeaters(*beaters, *n); err != nil {
 		log.Fatal(err)
 	}

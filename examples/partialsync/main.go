@@ -4,24 +4,25 @@
 // clocks, real timeouts), not the simulator: every process is a goroutine,
 // the network delivers each broadcast copy after a random real delay, and
 // before GST (here 80ms) deliveries are arbitrarily slow. Each process
-// stacks the live Figure 6 detector (◇HP̄ → HΩ, adaptive timeouts) under
-// the blocking Figure 8 consensus — the combination the paper highlights:
-// consensus in a homonymous partially synchronous system with a majority
-// of correct processes and no initial membership knowledge.
+// stacks the Figure 6 detector (◇HP̄ → HΩ, adaptive timeouts) under the
+// Figure 8 consensus — the combination the paper highlights: consensus in
+// a homonymous partially synchronous system with a majority of correct
+// processes and no initial membership knowledge. Both are the simulator's
+// own state machines, hosted on live mailbox goroutines.
 //
 //	go run ./examples/partialsync
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
-	"sync"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fd/ohp"
 	"repro/internal/hruntime"
 	"repro/internal/ident"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -35,34 +36,16 @@ func main() {
 		MaxDelay: 2 * time.Millisecond,
 		GST:      80 * time.Millisecond, // links timely only after this
 	})
-	defer cluster.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
+	procs := make([]sim.Process, n)
+	insts := make([]*core.Fig8, n)
+	for i := range procs {
+		det := ohp.New()
+		insts[i] = core.NewFig8(det, tFaults, core.Value(fmt.Sprintf("proposal-of-p%d", i)))
+		procs[i] = sim.NewNode().Add("fd", det).Add("consensus", insts[i])
+	}
 	fmt.Printf("%d goroutine-processes, ids %v, GST in 80ms…\n", n, ids)
-
-	type result struct {
-		p   int
-		v   core.Value
-		err error
-	}
-	results := make(chan result, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			dm := hruntime.NewDemux(cluster, i, "fd", "consensus")
-			defer dm.Close()
-			det := hruntime.StartOHP(dm, "fd", ids[i], time.Millisecond)
-			defer det.Stop()
-			v, err := hruntime.Propose(ctx, dm, det, ids[i],
-				hruntime.Config{N: n, T: tFaults},
-				core.Value(fmt.Sprintf("proposal-of-p%d", i)))
-			results <- result{p: i, v: v, err: err}
-		}(i)
-	}
+	host := hruntime.Start(cluster, procs)
+	defer host.Close()
 
 	// Crash one "ant" after 20ms — mid pre-GST chaos.
 	time.Sleep(20 * time.Millisecond)
@@ -70,18 +53,22 @@ func main() {
 	fmt.Println("crashed process 1 (an 'ant') during the unstable period")
 
 	decided := make(map[int]core.Value)
-	for len(decided) < n-1 {
-		r := <-results
-		if r.p == 1 {
-			continue
+	for deadline := time.Now().Add(30 * time.Second); len(decided) < n-1; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			log.Fatalf("timeout: %d of %d survivors decided", len(decided), n-1)
 		}
-		if r.err != nil {
-			log.Fatalf("process %d: %v", r.p, r.err)
+		for p := range insts {
+			if p == 1 {
+				continue
+			}
+			host.Do(p, func() {
+				if out := insts[p].Decided(); out.Decided {
+					decided[p] = out.Value
+				}
+			})
 		}
-		decided[r.p] = r.v
 	}
-	cancel()
-	wg.Wait()
+	host.Close()
 
 	var common core.Value
 	for p, v := range decided {

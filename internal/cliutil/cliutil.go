@@ -65,6 +65,19 @@ func ValidateTraceFormat(format, tracePath string) error {
 	return nil
 }
 
+// ValidateSize checks a system size n and identifier count l (the -n and
+// -l flags, or a trace fingerprint's N and L) before ident.Balanced sees
+// them: n ≥ 1 and 1 ≤ l ≤ n. Out-of-range values used to panic there.
+func ValidateSize(n, l int) error {
+	if n < 1 {
+		return fmt.Errorf("-n %d: must be ≥ 1", n)
+	}
+	if l < 1 || l > n {
+		return fmt.Errorf("-l %d: must be in [1, n=%d] (1 = anonymous, n = unique)", l, n)
+	}
+	return nil
+}
+
 // ValidateBeaters checks -beaters against the system size n: 0 selects
 // every process, 1..n selects that many, and anything else is rejected at
 // the flag boundary — more beaters than processes used to be silently

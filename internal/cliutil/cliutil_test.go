@@ -362,6 +362,35 @@ func TestValidateTraceFormat(t *testing.T) {
 	}
 }
 
+func TestValidateSize(t *testing.T) {
+	cases := []struct {
+		n, l    int
+		wantErr string // substring; empty = valid
+	}{
+		{1, 1, ""}, // smallest system
+		{5, 1, ""}, // anonymous
+		{5, 5, ""}, // unique
+		{5, 2, ""},
+		{0, 1, "-n 0: must be ≥ 1"},
+		{-3, 1, "-n -3"},
+		{3, 5, "-l 5: must be in [1, n=3]"},
+		{3, 0, "-l 0"},
+		{3, -1, "-l -1"},
+	}
+	for _, c := range cases {
+		err := ValidateSize(c.n, c.l)
+		if c.wantErr == "" {
+			if err != nil {
+				t.Errorf("ValidateSize(%d, %d) = %v, want nil", c.n, c.l, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("ValidateSize(%d, %d) = %v, want error containing %q", c.n, c.l, err, c.wantErr)
+		}
+	}
+}
+
 func TestValidateBeaters(t *testing.T) {
 	cases := []struct {
 		beaters, n int

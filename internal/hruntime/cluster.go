@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/ident"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -22,7 +23,7 @@ type Options struct {
 	PreLoss float64
 	// Seed drives the delay/loss randomness.
 	Seed int64
-	// Recorder, when non-nil, receives trace events.
+	// Recorder, when non-nil, receives trace events stamped in Units.
 	Recorder *trace.Recorder
 	// InboxSize is the per-process buffer (default 4096).
 	InboxSize int
@@ -84,19 +85,26 @@ func (c *Cluster) ID(p int) ident.ID { return c.ids[p] }
 // IDs returns the identity assignment.
 func (c *Cluster) IDs() ident.Assignment { return c.ids }
 
-// Inbox returns process p's receive channel.
+// Inbox returns process p's receive channel. Copies that reach it are
+// not traced here: their consumer (a Host) records each one as delivered
+// or, if p is down by then, dropped.
 func (c *Cluster) Inbox(p int) <-chan any { return c.inboxes[p] }
 
 // Crash marks p crashed: its future broadcasts are ignored and nothing
-// more is delivered to it.
+// more is delivered to it. Host.Recover brings it back.
 func (c *Cluster) Crash(p int) {
-	c.mu.Lock()
-	already := c.crashed[p]
-	c.crashed[p] = true
-	c.mu.Unlock()
-	if !already && c.opts.Recorder != nil {
-		c.opts.Recorder.Record(trace.Event{Time: c.sinceStart(), Kind: trace.KindCrash, PID: p})
+	if c.setCrashed(p, true) {
+		c.record(trace.KindCrash, p, "", "")
 	}
+}
+
+// setCrashed sets p's crash mark and reports whether it changed.
+func (c *Cluster) setCrashed(p int, down bool) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	changed := c.crashed[p] != down
+	c.crashed[p] = down
+	return changed
 }
 
 // Crashed reports whether p crashed.
@@ -137,9 +145,7 @@ func (c *Cluster) Broadcast(from int, payload any) {
 	c.wg.Add(live)
 	c.mu.Unlock()
 
-	if c.opts.Recorder != nil {
-		c.opts.Recorder.Record(trace.Event{Time: c.sinceStart(), Kind: trace.KindBroadcast, PID: from, MsgTag: tagOf(payload)})
-	}
+	c.record(trace.KindBroadcast, from, tagOf(payload), "")
 	for _, pl := range plans {
 		if pl.drop {
 			continue
@@ -175,17 +181,12 @@ func (c *Cluster) deliver(to int, payload any, after time.Duration) {
 	case <-c.done:
 		return
 	}
-	c.mu.Lock()
-	dead := c.crashed[to]
-	c.mu.Unlock()
-	if dead {
+	if c.Crashed(to) {
+		c.record(trace.KindDrop, to, tagOf(payload), "recipient crashed")
 		return
 	}
 	select {
 	case c.inboxes[to] <- payload:
-		if c.opts.Recorder != nil {
-			c.opts.Recorder.Record(trace.Event{Time: c.sinceStart(), Kind: trace.KindDeliver, PID: to, MsgTag: tagOf(payload)})
-		}
 	case <-c.done:
 	}
 }
@@ -204,7 +205,15 @@ func (c *Cluster) Close() {
 	c.wg.Wait()
 }
 
-func (c *Cluster) sinceStart() int64 { return int64(time.Since(c.start) / time.Microsecond) }
+// now is the elapsed time since the cluster started, in Units.
+func (c *Cluster) now() sim.Time { return sim.Time(time.Since(c.start) / Unit) }
+
+// record stamps and records one event when a Recorder is attached.
+func (c *Cluster) record(kind trace.Kind, p int, tag, detail string) {
+	if c.opts.Recorder != nil {
+		c.opts.Recorder.Record(trace.Event{Time: c.now(), Kind: kind, PID: p, MsgTag: tag, Detail: detail})
+	}
+}
 
 func tagOf(payload any) string {
 	type tagger interface{ MsgTag() string }

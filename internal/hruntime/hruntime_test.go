@@ -1,26 +1,31 @@
 package hruntime
 
 import (
-	"context"
-	"sync"
+	"fmt"
+	"sort"
 	"testing"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/core"
+	"repro/internal/fd"
+	"repro/internal/fd/ohp"
 	"repro/internal/ident"
+	"repro/internal/multiset"
+	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func TestClusterBroadcastDelivery(t *testing.T) {
 	c := NewCluster(ident.Unique(3), Options{Seed: 1})
 	defer c.Close()
-	c.Broadcast(0, Envelope{Module: "m", Payload: "hi"})
+	c.Broadcast(0, "hi")
 	deadline := time.After(2 * time.Second)
 	for p := 0; p < 3; p++ {
 		select {
 		case m := <-c.Inbox(p):
-			env := m.(Envelope)
-			if env.Payload != "hi" {
-				t.Fatalf("payload = %v", env.Payload)
+			if m != "hi" {
+				t.Fatalf("payload = %v", m)
 			}
 		case <-deadline:
 			t.Fatalf("process %d never received", p)
@@ -32,11 +37,11 @@ func TestClusterCrashSilences(t *testing.T) {
 	c := NewCluster(ident.Unique(2), Options{Seed: 2})
 	defer c.Close()
 	c.Crash(0)
-	c.Broadcast(0, Envelope{Module: "m", Payload: "x"}) // ignored: sender dead
-	c.Broadcast(1, Envelope{Module: "m", Payload: "y"})
+	c.Broadcast(0, "x") // ignored: sender dead
+	c.Broadcast(1, "y")
 	select {
 	case m := <-c.Inbox(1):
-		if m.(Envelope).Payload != "y" {
+		if m != "y" {
 			t.Fatalf("got %v", m)
 		}
 	case <-time.After(2 * time.Second):
@@ -46,174 +51,6 @@ func TestClusterCrashSilences(t *testing.T) {
 	case m := <-c.Inbox(0):
 		t.Fatalf("crashed process received %v", m)
 	case <-time.After(50 * time.Millisecond):
-	}
-}
-
-func TestDemuxRoutesByModule(t *testing.T) {
-	c := NewCluster(ident.Unique(1), Options{Seed: 3})
-	defer c.Close()
-	dm := NewDemux(c, 0, "a", "b")
-	defer dm.Close()
-	dm.Send("a", "for-a")
-	dm.Send("b", "for-b")
-	select {
-	case m := <-dm.Chan("a"):
-		if m != "for-a" {
-			t.Fatalf("a got %v", m)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("module a starved")
-	}
-	select {
-	case m := <-dm.Chan("b"):
-		if m != "for-b" {
-			t.Fatalf("b got %v", m)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("module b starved")
-	}
-}
-
-func TestLiveOHPConverges(t *testing.T) {
-	ids := ident.Assignment{"a", "a", "b"}
-	c := NewCluster(ids, Options{Seed: 4, MinDelay: 100 * time.Microsecond, MaxDelay: 500 * time.Microsecond})
-	defer c.Close()
-	dms := make([]*Demux, len(ids))
-	dets := make([]*OHP, len(ids))
-	for i := range ids {
-		dms[i] = NewDemux(c, i, "fd")
-		dets[i] = StartOHP(dms[i], "fd", ids[i], time.Millisecond)
-	}
-	defer func() {
-		for i := range dets {
-			dets[i].Stop()
-			dms[i].Close()
-		}
-	}()
-
-	// Crash p2 ("b") after a while; survivors must converge on {a, a}.
-	time.Sleep(100 * time.Millisecond)
-	c.Crash(2)
-
-	deadline := time.Now().Add(8 * time.Second)
-	for {
-		good := true
-		for i := 0; i < 2; i++ {
-			tr := dets[i].Trusted()
-			if tr.Len() != 2 || tr.Count("a") != 2 {
-				good = false
-			}
-			li, ok := dets[i].Leader()
-			if !ok || li.ID != "a" || li.Multiplicity != 2 {
-				good = false
-			}
-		}
-		if good {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("detectors did not converge: %v / %v", dets[0].Trusted(), dets[1].Trusted())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// liveConsensus wires a full live stack (OHP → Fig 8) and returns the
-// decisions of correct processes.
-func liveConsensus(t *testing.T, ids ident.Assignment, tt int, crash map[int]time.Duration, seed int64) []core.Value {
-	t.Helper()
-	n := ids.N()
-	c := NewCluster(ids, Options{Seed: seed, MinDelay: 100 * time.Microsecond, MaxDelay: 600 * time.Microsecond})
-	defer c.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	type result struct {
-		p   int
-		v   core.Value
-		err error
-	}
-	results := make(chan result, n)
-	var wg sync.WaitGroup
-	cancels := make([]context.CancelFunc, n)
-	for i := 0; i < n; i++ {
-		dm := NewDemux(c, i, "fd", "consensus")
-		det := StartOHP(dm, "fd", ids[i], 500*time.Microsecond)
-		pctx, pcancel := context.WithCancel(ctx)
-		cancels[i] = pcancel
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer det.Stop()
-			defer dm.Close()
-			v, err := Propose(pctx, dm, det, ids[i], Config{N: n, T: tt}, core.Value(string(rune('a'+i))))
-			results <- result{p: i, v: v, err: err}
-		}(i)
-	}
-	for p, after := range crash {
-		p, after := p, after
-		go func() {
-			time.Sleep(after)
-			c.Crash(p)
-			cancels[p]()
-		}()
-	}
-
-	crashed := make(map[int]bool, len(crash))
-	for p := range crash {
-		crashed[p] = true
-	}
-	var decisions []core.Value
-	needed := n - len(crash)
-	for got := 0; got < needed; {
-		select {
-		case r := <-results:
-			if crashed[r.p] {
-				continue // cancelled processes may error; ignore
-			}
-			if r.err != nil {
-				t.Fatalf("correct process %d failed: %v", r.p, r.err)
-			}
-			decisions = append(decisions, r.v)
-			got++
-		case <-ctx.Done():
-			t.Fatalf("timeout: %d/%d decisions", len(decisions), needed)
-		}
-	}
-	cancel() // release any still-running participants, then drain them
-	wg.Wait()
-	return decisions
-}
-
-func TestLiveConsensusFailureFree(t *testing.T) {
-	decisions := liveConsensus(t, ident.Balanced(4, 2), 1, nil, 5)
-	for _, v := range decisions[1:] {
-		if v != decisions[0] {
-			t.Fatalf("agreement violated: %v", decisions)
-		}
-	}
-}
-
-func TestLiveConsensusWithCrash(t *testing.T) {
-	ids := ident.Balanced(5, 2)
-	decisions := liveConsensus(t, ids, 2, map[int]time.Duration{3: 5 * time.Millisecond}, 6)
-	if len(decisions) != 4 {
-		t.Fatalf("got %d decisions, want 4", len(decisions))
-	}
-	for _, v := range decisions[1:] {
-		if v != decisions[0] {
-			t.Fatalf("agreement violated: %v", decisions)
-		}
-	}
-}
-
-func TestLiveConsensusAnonymous(t *testing.T) {
-	decisions := liveConsensus(t, ident.AnonymousN(3), 1, nil, 7)
-	for _, v := range decisions[1:] {
-		if v != decisions[0] {
-			t.Fatalf("agreement violated: %v", decisions)
-		}
 	}
 }
 
@@ -228,17 +65,17 @@ func TestClusterGSTLossAndRecovery(t *testing.T) {
 		PreLoss:  1,
 	})
 	defer c.Close()
-	c.Broadcast(0, Envelope{Module: "m", Payload: "early"})
+	c.Broadcast(0, "early")
 	select {
 	case m := <-c.Inbox(1):
 		t.Fatalf("pre-GST message delivered despite PreLoss=1: %v", m)
 	case <-time.After(20 * time.Millisecond):
 	}
 	time.Sleep(40 * time.Millisecond) // past GST
-	c.Broadcast(0, Envelope{Module: "m", Payload: "late"})
+	c.Broadcast(0, "late")
 	select {
 	case m := <-c.Inbox(1):
-		if m.(Envelope).Payload != "late" {
+		if m != "late" {
 			t.Fatalf("got %v", m)
 		}
 	case <-time.After(2 * time.Second):
@@ -246,46 +83,259 @@ func TestClusterGSTLossAndRecovery(t *testing.T) {
 	}
 }
 
+// probe counts its steps; the host test reads the counters through Do.
+type probe struct {
+	env                  sim.Environment
+	msgs, timers, recovs int
+}
+
+func (q *probe) Init(env sim.Environment) { q.env = env; env.SetTimer(1, 0) }
+func (q *probe) OnMessage(any)            { q.msgs++ }
+func (q *probe) OnTimer(int)              { q.timers++; q.env.SetTimer(1, 0) }
+func (q *probe) OnRecover()               { q.recovs++; q.env.SetTimer(1, 0) }
+
+func TestHostCrashDropsTimersAndRecovers(t *testing.T) {
+	rec := trace.NewRecorder()
+	c := NewCluster(ident.Unique(1), Options{Seed: 3, Recorder: rec})
+	q := &probe{}
+	h := Start(c, []sim.Process{q})
+	defer h.Close()
+	count := func() (n int) { h.Do(0, func() { n = q.timers }); return }
+
+	eventually(t, 2*time.Second, "first timer", func() bool { return count() > 0 })
+	c.Crash(0)
+	h.Do(0, func() {}) // any step in flight when the crash landed is done
+	before := count()
+	time.Sleep(20 * Unit)
+	if got := count(); got != before {
+		t.Fatalf("timers fired on a crashed process: %d → %d", before, got)
+	}
+	h.Recover(0)
+	eventually(t, 2*time.Second, "timers after recovery", func() bool { return count() > before })
+	h.Close()
+	if q.recovs != 1 {
+		t.Fatalf("OnRecover ran %d times, want 1", q.recovs)
+	}
+	s := rec.Stats()
+	if s.TimerDrops == 0 || s.Recoveries != 1 || s.Crashes != 1 {
+		t.Fatalf("trace stats %+v: want timer drops, 1 crash, 1 recovery", s)
+	}
+}
+
+// eventually polls cond until it holds, failing the test after within.
+func eventually(t *testing.T, within time.Duration, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(within)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: not reached within %v", what, within)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// liveDetectors hosts one Figure 6 detector per process.
+func liveDetectors(ids ident.Assignment, opts Options) (*Cluster, *Host, []*ohp.Detector) {
+	c := NewCluster(ids, opts)
+	dets := make([]*ohp.Detector, len(ids))
+	procs := make([]sim.Process, len(ids))
+	for p := range ids {
+		dets[p] = ohp.New()
+		procs[p] = dets[p]
+	}
+	return c, Start(c, procs), dets
+}
+
+// trusts reports whether p's h_trusted equals want, read on p's mailbox
+// goroutine; withLeader additionally requires HΩ (Corollary 2) to elect
+// want's smallest identifier with its multiplicity.
+func trusts(h *Host, d *ohp.Detector, p int, want *multiset.Multiset[ident.ID], withLeader bool) (ok bool) {
+	h.Do(p, func() {
+		ok = d.Trusted().Equal(want)
+		if ok && withLeader {
+			id, _ := want.Min()
+			li, has := d.Leader()
+			ok = has && li == fd.LeaderInfo{ID: id, Multiplicity: want.Count(id)}
+		}
+	})
+	return ok
+}
+
+func TestLiveOHPConverges(t *testing.T) {
+	ids := ident.Assignment{"a", "a", "b"}
+	c, h, dets := liveDetectors(ids, Options{Seed: 4, MinDelay: 100 * time.Microsecond, MaxDelay: 500 * time.Microsecond})
+	defer h.Close()
+
+	// Crash p2 ("b") after a while; survivors must converge on {a, a}.
+	time.Sleep(100 * time.Millisecond)
+	c.Crash(2)
+	want := multiset.From[ident.ID]("a", "a")
+	eventually(t, 8*time.Second, "◇HP̄ convergence after a crash", func() bool {
+		return trusts(h, dets[0], 0, want, true) && trusts(h, dets[1], 1, want, true)
+	})
+}
+
 func TestOHPDetectorToleratesPreGSTLoss(t *testing.T) {
 	// The Figure 6 detector must converge even when every message before
 	// GST is lost — Theorem 5 needs only the post-GST suffix.
 	ids := ident.Assignment{"a", "a", "b"}
-	c := NewCluster(ids, Options{
+	_, h, dets := liveDetectors(ids, Options{
 		Seed:     10,
 		MinDelay: 100 * time.Microsecond,
 		MaxDelay: 400 * time.Microsecond,
 		GST:      40 * time.Millisecond,
 		PreLoss:  1,
 	})
-	defer c.Close()
-	dms := make([]*Demux, len(ids))
-	dets := make([]*OHP, len(ids))
-	for i := range ids {
-		dms[i] = NewDemux(c, i, "fd")
-		dets[i] = StartOHP(dms[i], "fd", ids[i], time.Millisecond)
-	}
-	defer func() {
-		for i := range dets {
-			dets[i].Stop()
-			dms[i].Close()
-		}
-	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		good := true
-		for i := range dets {
-			tr := dets[i].Trusted()
-			if tr.Len() != 3 || tr.Count("a") != 2 || tr.Count("b") != 1 {
-				good = false
+	defer h.Close()
+	want := ids.I()
+	eventually(t, 10*time.Second, "◇HP̄ convergence after a pre-GST blackout", func() bool {
+		for p := range dets {
+			if !trusts(h, dets[p], p, want, false) {
+				return false
 			}
 		}
-		if good {
-			return
+		return true
+	})
+}
+
+// fault is one live crash of process p after the given delay, or its
+// recovery when up is set.
+type fault struct {
+	p     int
+	after time.Duration
+	up    bool
+}
+
+// decider is a hosted consensus instance's outcome query.
+type decider interface{ Decided() core.Outcome }
+
+func proposal(p int) core.Value { return core.Value(fmt.Sprintf("v%d", p)) }
+
+// liveConsensus hosts the stacks build returns on a fresh cluster over
+// ids, applies the faults, and waits until every process not left down
+// has decided. It then verifies the run from its recorded trace alone —
+// the outcomes the trace's decide events reconstruct must match every
+// instance's Decided(), and check.ConsensusChurn must pass over the fault
+// pattern the trace's crash/recover events describe — and returns both.
+func liveConsensus(t *testing.T, ids ident.Assignment, seed int64, faults []fault,
+	build func(c *Cluster) ([]sim.Process, []decider)) ([]core.Outcome, *fd.GroundTruth) {
+	t.Helper()
+	n := ids.N()
+	rec := trace.NewRecorder()
+	c := NewCluster(ids, Options{Seed: seed, MinDelay: 100 * time.Microsecond, MaxDelay: 600 * time.Microsecond, Recorder: rec})
+	procs, insts := build(c)
+	h := Start(c, procs)
+	defer h.Close()
+
+	sort.SliceStable(faults, func(i, j int) bool { return faults[i].after < faults[j].after })
+	down := make([]bool, n)
+	for _, f := range faults {
+		down[f.p] = !f.up
+	}
+	applied := make(chan struct{})
+	go func() {
+		defer close(applied)
+		start := time.Now()
+		for _, f := range faults {
+			time.Sleep(time.Until(start.Add(f.after)))
+			if f.up {
+				h.Recover(f.p)
+			} else {
+				c.Crash(f.p)
+			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no convergence after pre-GST blackout: %v / %v / %v",
-				dets[0].Trusted(), dets[1].Trusted(), dets[2].Trusted())
+	}()
+	eventually(t, 30*time.Second, "termination", func() bool {
+		for p := range insts {
+			var decided bool
+			h.Do(p, func() { decided = insts[p].Decided().Decided })
+			if !down[p] && !decided {
+				return false
+			}
 		}
-		time.Sleep(20 * time.Millisecond)
+		return true
+	})
+	<-applied
+	h.Close()
+
+	tracker := check.NewOutcomeTracker(n)
+	var churn []sim.ChurnEvent
+	for _, e := range rec.Events() {
+		tracker.Observe(e)
+		if e.Kind == trace.KindCrash || e.Kind == trace.KindRecover {
+			churn = append(churn, sim.ChurnEvent{P: sim.PID(e.PID), At: e.Time, Recover: e.Kind == trace.KindRecover})
+		}
+	}
+	if err := tracker.Err(); err != nil {
+		t.Fatalf("trace decide events: %v", err)
+	}
+	outcomes := tracker.Outcomes()
+	proposals := make([]core.Value, n)
+	for p := range insts {
+		proposals[p] = proposal(p)
+		got, want := outcomes[p], insts[p].Decided()
+		if got.Decided != want.Decided || got.Value != want.Value || got.Round != want.Round || got.Relayed != want.Relayed {
+			t.Fatalf("p%d: trace reconstructs %+v, instance reports %+v", p, got, want)
+		}
+	}
+	truth := fd.NewGroundTruthFromChurn(ids, churn)
+	if _, err := check.ConsensusChurn(truth, proposals, outcomes); err != nil {
+		t.Fatal(err)
+	}
+	return outcomes, truth
+}
+
+// fig8OverOHP builds the paper's partial-synchrony stack on every process:
+// the Figure 6 detector (◇HP̄ → HΩ) under Figure 8 consensus.
+func fig8OverOHP(tt int) func(*Cluster) ([]sim.Process, []decider) {
+	return func(c *Cluster) ([]sim.Process, []decider) {
+		procs, insts := make([]sim.Process, c.N()), make([]decider, c.N())
+		for p := range procs {
+			det := ohp.New()
+			cons := core.NewFig8(det, tt, proposal(p))
+			procs[p], insts[p] = sim.NewNode().Add("fd", det).Add("consensus", cons), cons
+		}
+		return procs, insts
+	}
+}
+
+// deciders counts the decided outcomes.
+func deciders(outcomes []core.Outcome) int {
+	k := 0
+	for _, o := range outcomes {
+		if o.Decided {
+			k++
+		}
+	}
+	return k
+}
+
+func TestLiveConsensusFailureFree(t *testing.T) {
+	outcomes, _ := liveConsensus(t, ident.Balanced(4, 2), 5, nil, fig8OverOHP(1))
+	if deciders(outcomes) != 4 {
+		t.Fatalf("outcomes %+v: want 4 deciders", outcomes)
+	}
+}
+
+func TestLiveConsensusWithCrash(t *testing.T) {
+	liveConsensus(t, ident.Balanced(5, 2), 6, []fault{{p: 3, after: 5 * time.Millisecond}}, fig8OverOHP(2))
+}
+
+func TestLiveConsensusAnonymous(t *testing.T) {
+	liveConsensus(t, ident.AnonymousN(3), 7, nil, fig8OverOHP(1))
+}
+
+// TestLiveConsensusCrashRecovery runs the rejoin protocol live: a process
+// crashes early and recovers later, and every process — the rejoiner
+// included — must decide, as the recorded trace alone certifies.
+func TestLiveConsensusCrashRecovery(t *testing.T) {
+	ids := ident.Assignment{"ant", "ant", "bee", "bee", "cat"}
+	faults := []fault{{p: 1, after: 5 * time.Millisecond}, {p: 1, after: 60 * time.Millisecond, up: true}}
+	outcomes, truth := liveConsensus(t, ids, 8, faults, fig8OverOHP(2))
+	if got := len(truth.EventuallyUp()); got != ids.N() {
+		t.Fatalf("%d of %d processes eventually up, want all", got, ids.N())
+	}
+	if deciders(outcomes) != ids.N() {
+		t.Fatalf("outcomes %+v: want every process decided", outcomes)
 	}
 }

@@ -362,6 +362,22 @@ func TestVerifyDetectsTamperedTrace(t *testing.T) {
 		}
 	})
 
+	// A crafted fingerprint with an impossible system size must be refused
+	// at the boundary, not panic inside the identifier assignment.
+	for _, bad := range []struct {
+		name string
+		n, l int
+	}{{"N=0", 0, 1}, {"L>N", 3, 5}} {
+		t.Run(bad.name, func(t *testing.T) {
+			forged := *m
+			forged.N, forged.L = bad.n, bad.l
+			err := replay.Verify(&forged, trace.NewSliceSource(events), new(bytes.Buffer))
+			if err == nil || !strings.Contains(err.Error(), "replay:") {
+				t.Fatalf("want a size error, got: %v", err)
+			}
+		})
+	}
+
 	t.Run("no metadata", func(t *testing.T) {
 		err := replay.Verify(nil, trace.NewSliceSource(events), new(bytes.Buffer))
 		if err == nil || !strings.Contains(err.Error(), "no scenario metadata") {
@@ -376,6 +392,9 @@ func BenchmarkReplayVerify(b *testing.B) {
 	m := &trace.Meta{
 		Algo: "heartbeat", N: 500, L: 10, Churn: "0.2:1",
 		Period: 15, Beaters: 20, Seed: 1, Delta: 3,
+		// The churn schedule's last fault is at t=733; the default horizon
+		// (10 periods = 150) would truncate it and the runner refuses.
+		Horizon: 1000,
 	}
 	_, events := liveRun(b, m)
 	b.ResetTimer()

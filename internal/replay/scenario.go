@@ -51,6 +51,9 @@ func BuildScenario(m *trace.Meta) (*Scenario, error) {
 	default:
 		return nil, fmt.Errorf("replay: unknown algorithm %q in trace metadata", m.Algo)
 	}
+	if err := cliutil.ValidateSize(m.N, m.L); err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
+	}
 	sc := &Scenario{Meta: m, IDs: hds.BalancedIDs(m.N, m.L)}
 	var err error
 	if sc.Crashes, err = cliutil.ParseCrashes(m.Crashes); err != nil {

@@ -8,6 +8,10 @@ value/unit pairs (ns/op, B/op, allocs/op, and any custom ReportMetric
 units) — plus the goos/goarch/pkg/cpu header lines, and emits one JSON
 object. CI uploads the result as an artifact so the performance
 trajectory of the hot paths is recorded per commit.
+
+Exits non-zero, writing nothing to stdout, if the input has any FAIL line
+(a failed benchmark or package) or no benchmark results at all: a broken
+benchmark must fail the CI step, not drop out of the record.
 """
 
 import json
@@ -17,13 +21,19 @@ import sys
 # Non-greedy name so the -N GOMAXPROCS suffix is stripped: the recorded
 # benchmark identity must not vary with the runner's core count.
 BENCH = re.compile(r"^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$")
+# "--- FAIL: BenchmarkX", "FAIL\tpkg" and the bare "FAIL" summary line.
+FAIL = re.compile(r"^(--- )?FAIL\b")
 
 
 def main():
     meta = {}
     results = []
+    failures = []
     for line in sys.stdin:
         line = line.rstrip("\n")
+        if FAIL.match(line):
+            failures.append(line)
+            continue
         m = re.match(r"^(goos|goarch|pkg|cpu):\s*(.*)$", line)
         if m:
             # Per-package runs repeat the header; keep the first value and
@@ -46,6 +56,10 @@ def main():
             except ValueError:
                 pass
         results.append({"name": name, "iterations": iters, "metrics": metrics})
+    if failures:
+        sys.exit("bench_json: benchmark run failed:\n" + "\n".join(failures))
+    if not results:
+        sys.exit("bench_json: no benchmark results in the input")
     json.dump({**meta, "benchmarks": results}, sys.stdout, indent=2)
     print()
 
