@@ -67,7 +67,7 @@ func BenchmarkE6_Fig6DiamondHPbar(b *testing.B) {
 		res, err := hds.RunOHP(hds.OHPExperiment{
 			IDs:     hds.BalancedIDs(6, 3),
 			Crashes: map[hds.PID]hds.Time{1: 30},
-			GST:     50, Delta: 3,
+			Net:     hds.PartialSync{GST: 50, Delta: 3},
 			Seed:    int64(i),
 			Horizon: 6000,
 		})
@@ -87,7 +87,7 @@ func BenchmarkE7_HOmegaFromOHP(b *testing.B) {
 		res, err := hds.RunOHP(hds.OHPExperiment{
 			IDs:     hds.BalancedIDs(6, 3),
 			Crashes: map[hds.PID]hds.Time{0: 40},
-			GST:     50, Delta: 3,
+			Net:     hds.PartialSync{GST: 50, Delta: 3},
 			Seed:    int64(i),
 			Horizon: 6000,
 		})
@@ -191,8 +191,8 @@ func BenchmarkE13_APReductions(b *testing.B) {
 func BenchmarkSubstrate_SimBroadcastStorm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := hds.RunOHP(hds.OHPExperiment{
-			IDs: hds.BalancedIDs(12, 4),
-			GST: 20, Delta: 2,
+			IDs:     hds.BalancedIDs(12, 4),
+			Net:     hds.PartialSync{GST: 20, Delta: 2},
 			Seed:    int64(i),
 			Horizon: 1500,
 		})
@@ -259,7 +259,7 @@ func BenchmarkE20_ChurnConsensus(b *testing.B) {
 func BenchmarkChurnConsensusFig8(b *testing.B) {
 	var after int64
 	for i := 0; i < b.N; i++ {
-		res, err := hds.RunChurnFig8(hds.ChurnFig8Experiment{
+		res, err := hds.RunChurnFig8(hds.Fig8Experiment{
 			IDs: hds.BalancedIDs(5, 2), T: 2,
 			Churn: hds.ChurnSpec{Fraction: 0.3, Cycles: 1, Start: 2, Down: 60},
 			Net:   hds.Async{MaxDelay: 8}, Seed: int64(i),

@@ -21,6 +21,12 @@ func main() {
 	crashes := flag.String("crashes", "1:30", "crash schedule pid:time[,pid:time...]; empty for none")
 	flag.Parse()
 
+	if err := cliutil.ValidateSize(*n, *l); err != nil {
+		log.Fatal(err)
+	}
+	if err := cliutil.ValidateTiming(*gst, *delta); err != nil {
+		log.Fatal(err)
+	}
 	sched, err := cliutil.ParseCrashes(*crashes)
 	if err != nil {
 		log.Fatal(err)
@@ -31,7 +37,8 @@ func main() {
 	switch *detector {
 	case "ohp":
 		res, err := hds.RunOHP(hds.OHPExperiment{
-			IDs: ids, Crashes: sched, GST: *gst, Delta: *delta, Seed: *seed, Horizon: *horizon,
+			IDs: ids, Crashes: sched, Net: hds.PartialSync{GST: *gst, Delta: *delta},
+			Seed: *seed, Horizon: *horizon,
 		})
 		if err != nil {
 			log.Fatalf("class check failed: %v", err)

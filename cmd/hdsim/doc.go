@@ -22,7 +22,8 @@
 // heartbeat-only flags: -period sets the beat interval; -beaters caps how
 // many processes beat (0 = all n; the rest only listen, so event volume
 // is Θ(beaters·n) while every broadcast still fans out to all n live
-// recipients); -max-events overrides the engine's runaway-guard cap.
+// recipients). -max-events overrides the engine's runaway-guard cap for
+// every algorithm; a run that trips it fails verification.
 //
 // -churn adds a crash-recovery churn schedule to any algorithm. Under ohp
 // the detector's churn-restated class properties are verified; under the
@@ -36,7 +37,11 @@
 //
 // -net selects the delay model (see cliutil.ParseNet): async[:max],
 // psync:gst:delta, timely[:δ], pareto[:α[:cap]], lognormal[:σ[:cap]],
-// alt[:period[:calm]], asym[:skew]. It overrides -gst/-delta.
+// alt[:period[:calm]], asym[:skew]. It overrides -gst/-delta. Without it,
+// -gst>0 selects PartialSync{GST: gst, δ: delta}, and so does ohp (which
+// runs in HPS) at any -gst; the consensus algorithms and heartbeat
+// otherwise run asynchronously. -gst must be ≥ 0 and -delta ≥ 1.
+// -partition wraps whichever model results.
 //
 // -trace FILE streams the run's full event trace to FILE. -trace-format
 // selects the sink: text (the default; one event per line, the canonical

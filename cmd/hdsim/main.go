@@ -12,7 +12,6 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/fd/oracle"
 	"repro/internal/replay"
-	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/trace"
 )
@@ -76,7 +75,10 @@ func main() {
 	if err := cliutil.ValidateTraceFormat(*traceFormat, *tracePath); err != nil {
 		log.Fatal(err)
 	}
-	if err := cliutil.ValidateSize(*n, *l); err != nil {
+	// BuildScenario resolves the flags exactly as a replay resolves this
+	// run's trace fingerprint: validation, network chain, horizons.
+	sc, err := replay.BuildScenario(meta)
+	if err != nil {
 		log.Fatal(err)
 	}
 	if err := cliutil.ValidateBeaters(*beaters, *n); err != nil {
@@ -136,43 +138,6 @@ func main() {
 		log.Fatal("-shards/-shard/-checkpoint-dir/-resume apply to seed sweeps: set -seeds > 1")
 	}
 
-	sched, err := cliutil.ParseCrashes(*crashes)
-	if err != nil {
-		log.Fatal(err)
-	}
-	churnSpec, err := cliutil.ParseChurn(*churn)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ids := hds.BalancedIDs(*n, *l)
-	var net sim.Model = hds.Async{MaxDelay: 8}
-	if *gst > 0 {
-		net = hds.PartialSync{GST: *gst, Delta: *delta}
-	}
-	if *netSpec != "" {
-		if net, err = cliutil.ParseNet(*netSpec); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if *partitions != "" {
-		ws, err := cliutil.ParsePartitions(*partitions)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := cliutil.ValidatePartitionN(ws, *n); err != nil {
-			log.Fatal(err)
-		}
-		// Horizon validation runs against the horizon the run will actually
-		// use; 0 means "algorithm default", which every algorithm sets far
-		// beyond any sane window schedule, so only an explicit -horizon is
-		// checked here (consensus re-checks against its expanded default).
-		if *horizon > 0 {
-			if err := cliutil.ValidatePartitionHorizon(ws, *horizon); err != nil {
-				log.Fatal(err)
-			}
-		}
-		net = sim.Partition{Base: net, Windows: ws}
-	}
 	adv := map[string]oracle.Adversary{
 		"none": oracle.AdversaryNone, "rotate": oracle.AdversaryRotate, "split": oracle.AdversarySplit,
 	}[*adversary]
@@ -181,7 +146,7 @@ func main() {
 		if *seeds > 1 {
 			log.Fatal("-seeds > 1 is not supported with -algo ohp; sweep seeds with the consensus algorithms or via internal/sweep")
 		}
-		runOHP(meta, ids, net, *netSpec != "" || *gst > 0, sched, churnSpec, *gst, *delta, *seed, *horizon, traceRec)
+		runOHP(sc, traceRec)
 		closeTrace()
 		return
 	}
@@ -189,69 +154,32 @@ func main() {
 		if *seeds > 1 {
 			log.Fatal("-seeds > 1 is not supported with -algo heartbeat; sweep seeds via internal/sweep")
 		}
-		if len(sched) > 0 {
+		if len(sc.Crashes) > 0 {
 			log.Fatal("-algo heartbeat takes a -churn spec, not -crashes")
 		}
-		runHeartbeat(meta, ids, net, churnSpec, *period, *beaters, *maxEvents, *seed, *horizon, traceRec)
+		runHeartbeat(sc, traceRec)
 		closeTrace()
 		return
 	}
-	consensusHorizon := *horizon
-	if consensusHorizon <= 0 {
-		consensusHorizon = 3_000_000
-	}
 
-	// churnRes keeps the churn-specific numbers of a single consensus run
-	// for the report below; sweeps aggregate through Report/Stats only, so
-	// it is written exclusively in the single-run (serial) case.
-	var churnRes *hds.ChurnConsensusResult
-	single := *seeds <= 1
-	runOne := func(seed int64) (hds.Report, hds.Stats, error) {
-		switch *algo {
-		case "fig8":
+	runOne := func(seed int64) (hds.ChurnConsensusResult, error) {
+		if *algo == "fig8" {
 			src := hds.OracleDetectors
 			if *detectors == "mp" {
 				src = hds.MessagePassingDetectors
 			}
-			if churnSpec.Fraction > 0 {
-				res, err := hds.RunChurnFig8(hds.ChurnFig8Experiment{
-					IDs: ids, T: *t, Churn: churnSpec, Crashes: sched, Net: net,
-					Detectors: src, Stabilize: *stabilize, Adversary: adv, Seed: seed,
-					Horizon: consensusHorizon, Trace: traceRec,
-				})
-				if single {
-					churnRes = &res
-				}
-				return res.Report, res.Stats, err
-			}
-			return hds.RunFig8(hds.Fig8Experiment{
-				IDs: ids, T: *t, Crashes: sched, Net: net,
+			return hds.RunChurnFig8(hds.Fig8Experiment{
+				IDs: sc.IDs, T: *t, Churn: sc.Churn, Crashes: sc.Crashes, Net: sc.Net,
 				Detectors: src, Stabilize: *stabilize, Adversary: adv, Seed: seed,
-				Horizon: consensusHorizon, Trace: traceRec,
+				Horizon: sc.Horizon, MaxEvents: *maxEvents, Trace: traceRec,
 			})
-		case "fig9", "fig9-anon":
-			if churnSpec.Fraction > 0 {
-				res, err := hds.RunChurnFig9(hds.ChurnFig9Experiment{
-					IDs: ids, Churn: churnSpec, Crashes: sched, Net: net,
-					AnonymousBaseline: *algo == "fig9-anon",
-					Stabilize:         *stabilize, Adversary: adv, Seed: seed,
-					Horizon: consensusHorizon, Trace: traceRec,
-				})
-				if single {
-					churnRes = &res
-				}
-				return res.Report, res.Stats, err
-			}
-			return hds.RunFig9(hds.Fig9Experiment{
-				IDs: ids, Crashes: sched, Net: net,
-				AnonymousBaseline: *algo == "fig9-anon",
-				Stabilize:         *stabilize, Adversary: adv, Seed: seed,
-				Horizon: consensusHorizon, Trace: traceRec,
-			})
-		default:
-			log.Fatalf("unknown algorithm %q", *algo)
-			panic("unreachable")
 		}
+		return hds.RunChurnFig9(hds.Fig9Experiment{
+			IDs: sc.IDs, Churn: sc.Churn, Crashes: sc.Crashes, Net: sc.Net,
+			AnonymousBaseline: *algo == "fig9-anon",
+			Stabilize:         *stabilize, Adversary: adv, Seed: seed,
+			Horizon: sc.Horizon, MaxEvents: *maxEvents, Trace: traceRec,
+		})
 	}
 
 	if *seeds > 1 {
@@ -259,26 +187,17 @@ func main() {
 		// checkpoints are only interchangeable between runs of the exact
 		// same scenario, and a digest alone cannot tell scenarios apart.
 		scenario := fmt.Sprintf("algo=%s ids=%v t=%d crashes=%s churn=%s net=%s detectors=%s stabilize=%d adversary=%s horizon=%d",
-			*algo, ids, *t, *crashes, *churn, net, *detectors, *stabilize, *adversary, consensusHorizon)
-		runSweep(campaignCfg, *algo, ids, *crashes, scenario, *seed, *seeds, runOne)
+			*algo, sc.IDs, *t, *crashes, *churn, sc.Net, *detectors, *stabilize, *adversary, sc.Horizon)
+		runSweep(campaignCfg, *algo, sc.IDs, *crashes, scenario, *seed, *seeds, runOne)
 		return
 	}
 
-	replay.WriteConsensusHeader(os.Stdout, &replay.Scenario{Meta: meta, IDs: ids})
-	rep, stats, err := runOne(*seed)
+	replay.WriteConsensusHeader(os.Stdout, sc)
+	res, err := runOne(*seed)
 	if err != nil {
 		fatalf("verification failed: %v", err)
 	}
-
-	var ci *replay.ChurnInfo
-	if churnRes != nil {
-		ci = &replay.ChurnInfo{
-			EventuallyUp: churnRes.EventuallyUp, Correct: churnRes.Correct,
-			Recoveries: churnRes.Recoveries, LastChange: churnRes.LastChange,
-			DecideAfterChurn: churnRes.DecideAfterChurn,
-		}
-	}
-	replay.WriteConsensusBlock(os.Stdout, *n, rep, ci, stats)
+	replay.WriteConsensusBlock(os.Stdout, sc, res)
 	closeTrace()
 }
 
@@ -298,43 +217,16 @@ func fatalf(format string, args ...any) {
 // runOHP runs the standalone Figure 6 detector — crash-stop (verified
 // ◇HP̄/HΩ class properties) or, with a churn spec, crash-recovery churn
 // (verified against the eventually-up ground truth).
-func runOHP(meta *trace.Meta, ids hds.Assignment, net sim.Model, netGiven bool, crashes map[hds.PID]hds.Time,
-	churn hds.ChurnSpec, gst, delta int64, seed, horizon int64, traceRec *trace.Recorder) {
-	if churn.Fraction > 0 {
-		if len(crashes) > 0 {
-			fatalf("use either -churn or -crashes for -algo ohp, not both")
-		}
-		// -net or -gst/-delta override the churn default (PartialSync{δ=3}).
-		var cnet sim.Model
-		if netGiven {
-			cnet = net
-		}
-		effective := cnet
-		if effective == nil {
-			effective = sim.PartialSync{Delta: 3}
-		}
-		replay.WriteOHPHeader(os.Stdout, &replay.Scenario{Meta: meta, IDs: ids, Churn: churn, Net: effective})
-		res, err := hds.RunChurnOHP(hds.ChurnOHPExperiment{
-			IDs: ids, Churn: churn, Net: cnet, Seed: seed, Horizon: horizon, Trace: traceRec,
-		})
-		if err != nil {
-			fatalf("verification failed: %v", err)
-		}
-		replay.WriteChurnOHPBlock(os.Stdout, ids.N(), res)
-		return
-	}
-	exp := hds.OHPExperiment{IDs: ids, Crashes: crashes, GST: gst, Delta: delta, Seed: seed, Horizon: horizon, Trace: traceRec}
-	var effective sim.Model = sim.PartialSync{GST: gst, Delta: delta} // RunOHP's default
-	if netGiven {
-		exp.Net = net
-		effective = net
-	}
-	replay.WriteOHPHeader(os.Stdout, &replay.Scenario{Meta: meta, IDs: ids, Crashes: crashes, Net: effective})
-	res, err := hds.RunOHP(exp)
+func runOHP(sc *replay.Scenario, traceRec *trace.Recorder) {
+	replay.WriteOHPHeader(os.Stdout, sc)
+	res, err := hds.RunOHP(hds.OHPExperiment{
+		IDs: sc.IDs, Churn: sc.Churn, Crashes: sc.Crashes, Net: sc.Net, Seed: sc.Meta.Seed,
+		Horizon: sc.Horizon, MaxEvents: sc.Meta.MaxEvents, Trace: traceRec,
+	})
 	if err != nil {
 		fatalf("verification failed: %v", err)
 	}
-	replay.WriteOHPBlock(os.Stdout, res)
+	replay.WriteOHPBlock(os.Stdout, sc, res)
 }
 
 // runHeartbeat runs the population-scale heartbeat churn workload with
@@ -343,18 +235,18 @@ func runOHP(meta *trace.Meta, ids hds.Assignment, net sim.Model, netGiven bool, 
 // counters against the recorder's delivery total, and delivery liveness
 // through a streaming probe — all in memory independent of the event
 // count, which is what lets -n reach 50,000.
-func runHeartbeat(meta *trace.Meta, ids hds.Assignment, net sim.Model, churn hds.ChurnSpec,
-	period int64, beaters, maxEvents int, seed, horizon int64, traceRec *trace.Recorder) {
-	replay.WriteHeartbeatHeader(os.Stdout, &replay.Scenario{Meta: meta, IDs: ids, Churn: churn, Net: net})
+func runHeartbeat(sc *replay.Scenario, traceRec *trace.Recorder) {
+	m := sc.Meta
+	replay.WriteHeartbeatHeader(os.Stdout, sc)
 	res, err := hds.RunHeartbeatChurn(hds.HeartbeatExperiment{
-		IDs: ids, Churn: churn, Net: net, Period: period, Seed: seed,
-		Horizon: horizon, Beaters: beaters, MaxEvents: maxEvents,
+		IDs: sc.IDs, Churn: sc.Churn, Net: sc.Net, Period: m.Period, Seed: m.Seed,
+		Horizon: sc.Horizon, Beaters: m.Beaters, MaxEvents: m.MaxEvents,
 		Trace: traceRec, StreamVerify: true,
 	})
 	if err != nil {
 		fatalf("verification failed: %v", err)
 	}
-	replay.WriteHeartbeatBlock(os.Stdout, ids.N(), res, true)
+	replay.WriteHeartbeatBlock(os.Stdout, sc.IDs.N(), res, true)
 }
 
 // runReplay re-verifies a recorded run from its trace alone: the scenario
@@ -394,17 +286,17 @@ type seedRow struct {
 // carries a hash of the full scenario fingerprint, so checkpoints from a
 // run with different flags (-crashes, -net, -gst, -t, …) never verify
 // against this campaign on -resume.
-func runSweep(cfg campaign.Config, algo string, ids hds.Assignment, crashes, scenario string, first int64, k int, runOne func(int64) (hds.Report, hds.Stats, error)) {
+func runSweep(cfg campaign.Config, algo string, ids hds.Assignment, crashes, scenario string, first int64, k int, runOne func(int64) (hds.ChurnConsensusResult, error)) {
 	fp := fnv.New64a()
 	fp.Write([]byte(scenario))
 	id := fmt.Sprintf("hdsim-%s-n%d-l%d-seed%d-x%d-%016x", algo, ids.N(), ids.DistinctCount(), first, k, fp.Sum64())
 	res, err := campaign.Run(cfg, id, k, func(i int) seedRow {
 		s := first + int64(i)
-		rep, stats, err := runOne(s)
+		res, err := runOne(s)
 		if err != nil {
 			return seedRow{Seed: s, Err: err.Error()}
 		}
-		return seedRow{Seed: s, Rounds: rep.MaxRound, Decided: int64(rep.LastDecision), Broadcasts: stats.Broadcasts}
+		return seedRow{Seed: s, Rounds: res.Report.MaxRound, Decided: int64(res.Report.LastDecision), Broadcasts: res.Stats.Broadcasts}
 	})
 	if err != nil {
 		log.Fatal(err)

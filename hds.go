@@ -40,7 +40,6 @@ import (
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/fd"
-	"repro/internal/fd/ohp"
 	"repro/internal/fd/oracle"
 	"repro/internal/ident"
 	"repro/internal/sim"
@@ -135,24 +134,49 @@ const (
 )
 
 // Fig8Experiment describes one run of the Figure 8 consensus
-// (HAS[t < n/2, HΩ]).
+// (HAS[t < n/2, HΩ]). The zero Churn spec is the paper's crash-stop model;
+// a non-zero one cycles churners down and up, recovered processes rejoin
+// the protocol through the (REJOIN, r) round-resync exchange, and the
+// consensus properties are verified in their crash-recovery restatement
+// (Termination over the eventually-up processes, decisions surviving
+// outages).
 type Fig8Experiment struct {
-	IDs     Assignment
-	T       int
+	IDs Assignment
+	// T is the crash budget: every process that ever crashes — churner or
+	// permanent — spends it, matching the paper's "at most t faulty" under
+	// the strict "correct = never crashes" reading. T < n/2 guarantees the
+	// never-crashed majority completes rounds on its own, so rejoiners can
+	// always catch up (at worst through the DECIDE relay).
+	T     int
+	Churn ChurnSpec
+	// Crashes are permanent crash-stop crashes, folded into the churn
+	// schedule. A process may appear in at most one of the two mechanisms;
+	// overlapping configurations are rejected.
 	Crashes map[PID]Time
-	// Net defaults to Async{}; use PartialSync with MessagePassingDetectors.
+	// Net defaults to the engine's Async{}; use an eventually timely model
+	// with MessagePassingDetectors.
 	Net sim.Model
-	// Detectors defaults to OracleDetectors.
+	// Detectors defaults to OracleDetectors (whose stable views are stated
+	// over the eventually-up set, so they re-converge after churn); with
+	// MessagePassingDetectors the paper's Figure 6 stack — itself
+	// recovery-capable — runs underneath.
 	Detectors DetectorSource
 	// Stabilize is the oracle stabilization time (OracleDetectors only).
+	// Under churn, zero defaults to 50 past the schedule's last event, so
+	// the adversary stays active through the whole churn phase.
 	Stabilize Time
 	// Adversary shapes pre-stabilization oracle output (OracleDetectors).
 	Adversary oracle.Adversary
 	// Proposals defaults to "v0".."v{n-1}".
 	Proposals []Value
 	Seed      int64
-	// Horizon caps virtual time (default 1e6).
+	// Horizon caps virtual time (default 1e6). It must exceed the fault
+	// schedule's last event — a horizon that cuts the schedule short would
+	// silently verify a different fault pattern — and the runner enforces
+	// that instead of trusting the caller.
 	Horizon Time
+	// MaxEvents overrides the engine's runaway guard (0 = engine default).
+	MaxEvents int
 	// Trace, when non-nil, replaces the default stats-only recorder: pass
 	// a retaining recorder for a full in-memory trace, or one with a
 	// trace.Sink attached to stream batches (spill mode). The caller owns
@@ -160,152 +184,49 @@ type Fig8Experiment struct {
 	Trace *trace.Recorder
 }
 
-// RunFig8 executes the experiment, verifies Termination/Validity/Agreement
-// and returns the verified report plus message statistics.
+// RunFig8 runs RunChurnFig8, the one Figure 8 runner, and returns only
+// its report and stats. The three-value form is kept for the perfbench
+// benchmark, which is frozen against it.
 func RunFig8(e Fig8Experiment) (Report, Stats, error) {
-	n := e.IDs.N()
-	if err := validateExperiment(e.IDs, e.Crashes, e.Proposals); err != nil {
-		return Report{}, Stats{}, err
-	}
-	if e.T < 0 || 2*e.T >= n {
-		return Report{}, Stats{}, fmt.Errorf("hds: Fig8 requires 0 <= t < n/2, got t=%d n=%d", e.T, n)
-	}
-	proposals := e.Proposals
-	if proposals == nil {
-		proposals = defaultProposals(n)
-	}
-	if e.Horizon == 0 {
-		e.Horizon = 1_000_000
-	}
-	rec := traceRecorder(e.Trace)
-	eng := sim.New(sim.Config{IDs: e.IDs, Net: e.Net, Seed: e.Seed, KnownN: true, Recorder: rec})
-	truth := fd.NewGroundTruth(e.IDs, e.Crashes)
-	world := oracle.NewWorld(truth, e.Stabilize)
-
-	insts := make([]*core.Fig8, n)
-	for i := 0; i < n; i++ {
-		node := sim.NewNode()
-		var det fd.HOmega
-		switch e.Detectors {
-		case MessagePassingDetectors:
-			d := ohp.New()
-			node.Add("ohp", d)
-			det = d
-		default:
-			d := oracle.NewHOmega(world, e.Adversary)
-			node.Add("homega", d)
-			det = d
-		}
-		insts[i] = core.NewFig8(det, e.T, proposals[i])
-		node.Add("consensus", insts[i])
-		eng.AddProcess(node)
-	}
-	eng.CrashSchedule(e.Crashes)
-	eng.RunUntil(e.Horizon, func() bool { return allDecidedFig8(truth, insts) })
-	if err := guardErr(eng); err != nil {
-		return Report{}, rec.Stats(), err
-	}
-
-	outcomes := make([]core.Outcome, n)
-	for i, inst := range insts {
-		outcomes[i] = inst.Decided()
-		if err := inst.InvariantErr(); err != nil {
-			return Report{}, rec.Stats(), fmt.Errorf("hds: internal invariant: %w", err)
-		}
-	}
-	rep, err := check.Consensus(truth, proposals, outcomes)
-	return rep, rec.Stats(), err
+	res, err := RunChurnFig8(e)
+	return res.Report, res.Stats, err
 }
 
 // Fig9Experiment describes one run of the Figure 9 consensus
-// (HAS[HΩ, HΣ]) or its anonymous baseline.
+// (HAS[HΩ, HΣ]) or its anonymous baseline. Fig. 9 needs neither n nor t:
+// quorums come from the HΣ detector, whose stable output under churn is
+// built over the eventually-up set, so any churn schedule is admissible —
+// including final-down churners that shrink the deciding population.
 type Fig9Experiment struct {
-	IDs     Assignment
+	IDs   Assignment
+	Churn ChurnSpec
+	// Crashes are permanent crash-stop crashes; overlap with the churn
+	// schedule is rejected (see Fig8Experiment.Crashes).
 	Crashes map[PID]Time
 	Net     sim.Model
 	// AnonymousBaseline switches to the AΩ variant without the Leaders'
 	// Coordination Phase (§5.3 closing remark).
 	AnonymousBaseline bool
-	Stabilize         Time
-	Adversary         oracle.Adversary
-	Proposals         []Value
-	Seed              int64
-	Horizon           Time
+	// Stabilize defaults to 50 past the churn schedule's last event under
+	// churn.
+	Stabilize Time
+	Adversary oracle.Adversary
+	Proposals []Value
+	Seed      int64
+	// Horizon caps virtual time (default 1e6); must exceed the fault
+	// schedule's last event (enforced).
+	Horizon   Time
+	MaxEvents int
 	// Trace, when non-nil, replaces the default stats-only recorder (see
 	// Fig8Experiment.Trace).
 	Trace *trace.Recorder
 }
 
-// RunFig9 executes the experiment and verifies the consensus properties.
-// Detectors are oracle-driven: the paper's HΣ implementation (Figure 7)
-// lives in the synchronous model, so the asynchronous consensus is
-// exercised against the class (see DESIGN.md's substitution table).
+// RunFig9 runs RunChurnFig9, the one Figure 9 runner, and returns only
+// its report and stats (kept for perfbench, see RunFig8).
 func RunFig9(e Fig9Experiment) (Report, Stats, error) {
-	n := e.IDs.N()
-	if err := validateExperiment(e.IDs, e.Crashes, e.Proposals); err != nil {
-		return Report{}, Stats{}, err
-	}
-	proposals := e.Proposals
-	if proposals == nil {
-		proposals = defaultProposals(n)
-	}
-	if e.Horizon == 0 {
-		e.Horizon = 1_000_000
-	}
-	rec := traceRecorder(e.Trace)
-	eng := sim.New(sim.Config{IDs: e.IDs, Net: e.Net, Seed: e.Seed, Recorder: rec})
-	truth := fd.NewGroundTruth(e.IDs, e.Crashes)
-	world := oracle.NewWorld(truth, e.Stabilize)
-
-	insts := make([]*core.Fig9, n)
-	for i := 0; i < n; i++ {
-		hs := oracle.NewHSigma(world)
-		node := sim.NewNode().Add("hsigma", hs)
-		if e.AnonymousBaseline {
-			ao := oracle.NewAOmega(world, e.Adversary)
-			node.Add("aomega", ao)
-			insts[i] = core.NewFig9Anonymous(ao, hs, proposals[i])
-		} else {
-			ho := oracle.NewHOmega(world, e.Adversary)
-			node.Add("homega", ho)
-			insts[i] = core.NewFig9(ho, hs, proposals[i])
-		}
-		node.Add("consensus", insts[i])
-		eng.AddProcess(node)
-	}
-	eng.CrashSchedule(e.Crashes)
-	eng.RunUntil(e.Horizon, func() bool { return allDecidedFig9(truth, insts) })
-	if err := guardErr(eng); err != nil {
-		return Report{}, rec.Stats(), err
-	}
-
-	outcomes := make([]core.Outcome, n)
-	for i, inst := range insts {
-		outcomes[i] = inst.Decided()
-		if err := inst.InvariantErr(); err != nil {
-			return Report{}, rec.Stats(), fmt.Errorf("hds: internal invariant: %w", err)
-		}
-	}
-	rep, err := check.Consensus(truth, proposals, outcomes)
-	return rep, rec.Stats(), err
-}
-
-func allDecidedFig8(truth *fd.GroundTruth, insts []*core.Fig8) bool {
-	for _, p := range truth.Correct() {
-		if !insts[p].Decided().Decided {
-			return false
-		}
-	}
-	return true
-}
-
-func allDecidedFig9(truth *fd.GroundTruth, insts []*core.Fig9) bool {
-	for _, p := range truth.Correct() {
-		if !insts[p].Decided().Decided {
-			return false
-		}
-	}
-	return true
+	res, err := RunChurnFig9(e)
+	return res.Report, res.Stats, err
 }
 
 // guardErr converts a MaxEvents-truncated run into an error. Every

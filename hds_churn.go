@@ -4,143 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/fd"
-	"repro/internal/fd/ohp"
-	"repro/internal/ident"
-	"repro/internal/multiset"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
-
-// ChurnOHPExperiment runs the Figure 6 detector under crash-recovery
-// churn: a fraction of the processes cycle down and up, and the detector
-// must re-converge to I(EventuallyUp) — the crash-recovery restatement of
-// the ◇HP̄/HΩ class properties (their crash-stop forms are the special
-// case with no recoveries).
-type ChurnOHPExperiment struct {
-	IDs   Assignment
-	Churn ChurnSpec
-	// Net defaults to PartialSync{Delta: 3} (timely from the start, so the
-	// measured re-stabilization is attributable to churn, not to GST).
-	Net  sim.Model
-	Seed int64
-	// Horizon caps virtual time (default 5000). It must comfortably exceed
-	// the churn schedule's last event.
-	Horizon Time
-	// MaxEvents overrides the engine's runaway guard (0 = engine default).
-	MaxEvents int
-	// Trace, when non-nil, replaces the default stats-only recorder (see
-	// OHPExperiment.Trace).
-	Trace *trace.Recorder
-}
-
-// ChurnOHPResult reports the verified churn run.
-type ChurnOHPResult struct {
-	// LastChange is the final fault-pattern change (last crash or
-	// recovery) — the earliest instant re-stabilization could begin.
-	LastChange Time
-	// TrustedRestab is when the last eventually-up process's h_trusted
-	// settled on I(EventuallyUp).
-	TrustedRestab Time
-	// LeaderRestab is the analogous instant for the HΩ output.
-	LeaderRestab Time
-	// Leader is the stabilized HΩ output.
-	Leader LeaderInfo
-	// EventuallyUp and Correct are |EventuallyUp| and |Correct|.
-	EventuallyUp, Correct int
-	// Recoveries counts executed recover events.
-	Recoveries int
-	// Stopped is why the run ended (horizon for a healthy detector run:
-	// polling never quiesces).
-	Stopped sim.StopReason
-	// Stats aggregates message costs over the horizon.
-	Stats Stats
-}
-
-// RunChurnOHP executes Figure 6 on every process under the churn schedule,
-// verifies the churn-restated ◇HP̄ and HΩ class properties against the
-// ground truth, cross-checks the engine's incremental fault bookkeeping
-// against the schedule-derived truth, and reports re-stabilization times.
-// Malformed inputs — an invalid assignment, or a horizon that cuts the
-// churn schedule short — are rejected with errors, not run: a truncated
-// schedule would yield meaningless re-stabilization times.
-func RunChurnOHP(e ChurnOHPExperiment) (ChurnOHPResult, error) {
-	if err := e.IDs.Validate(); err != nil {
-		return ChurnOHPResult{}, fmt.Errorf("hds: %w", err)
-	}
-	if e.Horizon == 0 {
-		e.Horizon = 5000
-	}
-	n := e.IDs.N()
-	schedule := e.Churn.Events(n)
-	if err := validateChurnHorizon(schedule, e.Horizon); err != nil {
-		return ChurnOHPResult{}, err
-	}
-	net := e.Net
-	if net == nil {
-		net = sim.PartialSync{Delta: 3}
-	}
-	rec := traceRecorder(e.Trace)
-	eng := sim.New(sim.Config{IDs: e.IDs, Net: net, Seed: e.Seed, Recorder: rec, MaxEvents: e.MaxEvents})
-	dets := make([]*ohp.Detector, n)
-	for i := range dets {
-		dets[i] = ohp.New()
-		eng.AddProcess(dets[i])
-	}
-	eng.ApplyChurn(schedule)
-	truth := fd.NewGroundTruthFromChurn(e.IDs, schedule)
-
-	// Streaming probes: the churn checkers (◇HP̄, HΩ) judge final outputs
-	// and stabilization times only, so O(1) state per process suffices —
-	// probe memory no longer grows with the run. Equivalence with the
-	// materialized Probe pipeline is pinned in internal/fd.
-	trustedProbe := fd.NewStreamProbe(eng, n, func(p sim.PID) (*multiset.Multiset[ident.ID], bool) {
-		if eng.Crashed(p) {
-			return nil, false
-		}
-		return dets[p].TrustedView(), true
-	}, func(a, b *multiset.Multiset[ident.ID]) bool { return a.Equal(b) })
-	leaderProbe := fd.NewStreamProbe(eng, n, func(p sim.PID) (fd.LeaderInfo, bool) {
-		if eng.Crashed(p) {
-			return fd.LeaderInfo{}, false
-		}
-		return dets[p].Leader()
-	}, func(a, b fd.LeaderInfo) bool { return a == b })
-	if rec.Retaining() {
-		fd.RecordChanges(rec, trustedProbe, fd.TagTrusted, fd.RenderView)
-		fd.RecordChanges(rec, leaderProbe, fd.TagLeader, fd.RenderLeader)
-	}
-
-	eng.Run(e.Horizon)
-	if err := guardErr(eng); err != nil {
-		return ChurnOHPResult{}, err
-	}
-	if err := checkTruthConsistency(eng, truth); err != nil {
-		return ChurnOHPResult{}, err
-	}
-
-	resT, err := fd.CheckDiamondHPbar(truth, trustedProbe)
-	if err != nil {
-		return ChurnOHPResult{}, err
-	}
-	resL, err := fd.CheckHOmega(truth, leaderProbe)
-	if err != nil {
-		return ChurnOHPResult{}, err
-	}
-	out := ChurnOHPResult{
-		LastChange:    truth.LastChange(),
-		TrustedRestab: resT.StabilizationTime,
-		LeaderRestab:  resL.StabilizationTime,
-		EventuallyUp:  len(truth.EventuallyUp()),
-		Correct:       len(truth.Correct()),
-		Recoveries:    eng.Recoveries(),
-		Stopped:       eng.Stopped(),
-		Stats:         rec.Stats(),
-	}
-	if up := truth.EventuallyUp(); len(up) > 0 {
-		out.Leader, _ = leaderProbe.Last(up[0])
-	}
-	return out, nil
-}
 
 // HeartbeatExperiment is the scalable churn workload: every process beats
 // (one broadcast) every Period, churners cycle down and up, and the run is
@@ -250,8 +116,8 @@ var (
 // against the schedule-derived ground truth. On every run — truncated or
 // not — the per-process delivery counters must sum to exactly the
 // recorder's Delivered count: one OnMessage per delivery trace, the
-// end-to-end accounting check on the lazy fan-out path. Like RunChurnOHP
-// it rejects invalid assignments and horizons that truncate the churn
+// end-to-end accounting check on the lazy fan-out path. Like RunOHP it
+// rejects invalid assignments and horizons that truncate the churn
 // schedule.
 func RunHeartbeatChurn(e HeartbeatExperiment) (HeartbeatResult, error) {
 	if err := e.IDs.Validate(); err != nil {

@@ -14,85 +14,21 @@ import (
 	"repro/internal/trace"
 )
 
-// ChurnFig8Experiment describes one run of the Figure 8 consensus
-// (HAS[t < n/2, HΩ]) under crash-recovery churn: churners cycle down and
-// up per the schedule, recovered processes rejoin the protocol through the
-// (REJOIN, r) round-resync exchange, and the consensus properties are
-// verified in their crash-recovery restatement (Termination over the
-// eventually-up processes, decisions surviving outages).
-type ChurnFig8Experiment struct {
-	IDs Assignment
-	// T is the crash budget: every process that ever crashes — churner or
-	// permanent — spends it, matching the paper's "at most t faulty" under
-	// the strict "correct = never crashes" reading. T < n/2 guarantees the
-	// never-crashed majority completes rounds on its own, so rejoiners can
-	// always catch up (at worst through the DECIDE relay).
-	T     int
-	Churn ChurnSpec
-	// Crashes adds permanent crash-stop crashes on top of the churn
-	// schedule. A process may appear in at most one of the two mechanisms;
-	// overlapping configurations are rejected.
-	Crashes map[PID]Time
-	// Net defaults to the engine's Async{}; use an eventually timely model
-	// with MessagePassingDetectors.
-	Net sim.Model
-	// Detectors defaults to OracleDetectors (whose stable views are stated
-	// over the eventually-up set, so they re-converge after churn); with
-	// MessagePassingDetectors the paper's Figure 6 stack — itself
-	// recovery-capable — runs underneath.
-	Detectors DetectorSource
-	// Stabilize is the oracle stabilization time (OracleDetectors only).
-	// Zero defaults to 50 past the churn schedule's last event, so the
-	// adversary stays active through the whole churn phase.
-	Stabilize Time
-	// Adversary shapes pre-stabilization oracle output (OracleDetectors).
-	Adversary oracle.Adversary
-	// Proposals defaults to "v0".."v{n-1}".
-	Proposals []Value
-	Seed      int64
-	// Horizon caps virtual time (default 1e6). It must exceed the churn
-	// schedule's last event — a horizon that cuts the schedule short would
-	// silently verify a different fault pattern — and the runner enforces
-	// that instead of trusting the caller.
-	Horizon Time
-	// MaxEvents overrides the engine's runaway guard (0 = engine default).
-	MaxEvents int
-	// Trace, when non-nil, replaces the default stats-only recorder (see
-	// Fig8Experiment.Trace).
-	Trace *trace.Recorder
-}
+// ChurnFig8Experiment and ChurnFig9Experiment are the experiment names
+// from before crash-stop and churn runs shared one runner. The perfbench
+// benchmark, which is frozen, still spells them.
+type (
+	ChurnFig8Experiment = Fig8Experiment
+	ChurnFig9Experiment = Fig9Experiment
+)
 
-// ChurnFig9Experiment is the Figure 9 (HAS[HΩ, HΣ]) counterpart of
-// ChurnFig8Experiment. Fig. 9 needs neither n nor t: quorums come from the
-// HΣ detector, whose stable output under churn is built over the
-// eventually-up set, so any churn schedule is admissible — including
-// final-down churners that shrink the deciding population.
-type ChurnFig9Experiment struct {
-	IDs   Assignment
-	Churn ChurnSpec
-	// Crashes adds permanent crash-stop crashes; overlap with the churn
-	// schedule is rejected (see ChurnFig8Experiment.Crashes).
-	Crashes map[PID]Time
-	Net     sim.Model
-	// AnonymousBaseline switches to the AΩ variant without the Leaders'
-	// Coordination Phase (§5.3 closing remark).
-	AnonymousBaseline bool
-	// Stabilize defaults to 50 past the churn schedule's last event.
-	Stabilize Time
-	Adversary oracle.Adversary
-	Proposals []Value
-	Seed      int64
-	// Horizon caps virtual time (default 1e6); must exceed the schedule's
-	// last event (enforced).
-	Horizon   Time
-	MaxEvents int
-	Trace     *trace.Recorder
-}
-
-// ChurnConsensusResult reports a verified churn-consensus run.
+// ChurnConsensusResult reports a verified consensus run, crash-stop or
+// churn. A run that executed but failed verification still reports
+// Stopped and Stats alongside the error.
 type ChurnConsensusResult struct {
 	// Report is the checker-verified consensus outcome (Termination
-	// quantified over the eventually-up processes).
+	// quantified over the correct processes in a crash-stop run, over the
+	// eventually-up ones under churn).
 	Report Report
 	// LastChange is the final fault-pattern change (last crash or
 	// recovery) — the earliest instant the run's tail is churn-free.
@@ -112,11 +48,13 @@ type ChurnConsensusResult struct {
 	Stats Stats
 }
 
-// RunChurnFig8 executes Figure 8 under the churn schedule with the rejoin
-// protocol live, cross-checks the engine's incremental fault bookkeeping
-// against the schedule-derived ground truth, verifies decision stability
-// across every outage, and checks the crash-recovery consensus properties.
-func RunChurnFig8(e ChurnFig8Experiment) (ChurnConsensusResult, error) {
+// RunChurnFig8 executes Figure 8 under the fault schedule — the churn
+// spec plus the permanent crashes; an empty spec is a crash-stop run —
+// with the rejoin protocol live, cross-checks the engine's incremental
+// fault bookkeeping against the schedule-derived ground truth, verifies
+// decision stability across every outage, and checks the consensus
+// properties.
+func RunChurnFig8(e Fig8Experiment) (ChurnConsensusResult, error) {
 	n := e.IDs.N()
 	if err := validateExperiment(e.IDs, e.Crashes, e.Proposals); err != nil {
 		return ChurnConsensusResult{}, err
@@ -132,16 +70,13 @@ func RunChurnFig8(e ChurnFig8Experiment) (ChurnConsensusResult, error) {
 		return ChurnConsensusResult{}, err
 	}
 	if crashed := len(truth.CrashTimes); crashed > e.T {
-		return ChurnConsensusResult{}, fmt.Errorf("hds: churn schedule plus crashes fault %d processes, exceeding the t=%d budget (every crash spends it, recovered or not)", crashed, e.T)
+		return ChurnConsensusResult{}, fmt.Errorf("hds: the fault schedule crashes %d processes, exceeding the t=%d budget (every crash spends it, recovered or not)", crashed, e.T)
 	}
 	proposals := e.Proposals
 	if proposals == nil {
 		proposals = defaultProposals(n)
 	}
-	stabilize := e.Stabilize
-	if stabilize == 0 {
-		stabilize = truth.LastChange() + 50
-	}
+	stabilize := defaultStabilize(e.Stabilize, e.Churn, truth)
 
 	rec := traceRecorder(e.Trace)
 	eng := sim.New(sim.Config{IDs: e.IDs, Net: e.Net, Seed: e.Seed, KnownN: true, Recorder: rec, MaxEvents: e.MaxEvents})
@@ -166,13 +101,13 @@ func RunChurnFig8(e ChurnFig8Experiment) (ChurnConsensusResult, error) {
 	}
 	outcome := func(p sim.PID) core.Outcome { return insts[p].Decided() }
 	invariant := func(p sim.PID) error { return insts[p].InvariantErr() }
-	return runChurnConsensus(eng, rec, truth, schedule, proposals, e.Horizon, outcome, invariant)
+	return runChurnConsensus(eng, rec, truth, schedule, e.Churn, proposals, e.Horizon, outcome, invariant)
 }
 
 // RunChurnFig9 is RunChurnFig8 for Figure 9 (or its anonymous baseline):
 // oracle-driven detectors, any number of faults, HΣ quorums built over the
 // eventually-up set.
-func RunChurnFig9(e ChurnFig9Experiment) (ChurnConsensusResult, error) {
+func RunChurnFig9(e Fig9Experiment) (ChurnConsensusResult, error) {
 	n := e.IDs.N()
 	if err := validateExperiment(e.IDs, e.Crashes, e.Proposals); err != nil {
 		return ChurnConsensusResult{}, err
@@ -191,10 +126,7 @@ func RunChurnFig9(e ChurnFig9Experiment) (ChurnConsensusResult, error) {
 	if proposals == nil {
 		proposals = defaultProposals(n)
 	}
-	stabilize := e.Stabilize
-	if stabilize == 0 {
-		stabilize = truth.LastChange() + 50
-	}
+	stabilize := defaultStabilize(e.Stabilize, e.Churn, truth)
 
 	rec := traceRecorder(e.Trace)
 	eng := sim.New(sim.Config{IDs: e.IDs, Net: e.Net, Seed: e.Seed, Recorder: rec, MaxEvents: e.MaxEvents})
@@ -217,15 +149,25 @@ func RunChurnFig9(e ChurnFig9Experiment) (ChurnConsensusResult, error) {
 	}
 	outcome := func(p sim.PID) core.Outcome { return insts[p].Decided() }
 	invariant := func(p sim.PID) error { return insts[p].InvariantErr() }
-	return runChurnConsensus(eng, rec, truth, schedule, proposals, e.Horizon, outcome, invariant)
+	return runChurnConsensus(eng, rec, truth, schedule, e.Churn, proposals, e.Horizon, outcome, invariant)
 }
 
-// runChurnConsensus is the shared tail of the churn-consensus runners:
-// apply the schedule, monitor decision stability, run until every
-// eventually-up process decided (or the horizon), cross-check engine
-// bookkeeping against the truth, and verify the restated properties.
+// defaultStabilize returns the oracle stabilization time a run uses.
+// Under churn, zero means 50 past the schedule's last event; a crash-stop
+// run takes the value as given.
+func defaultStabilize(stabilize Time, churn ChurnSpec, truth *fd.GroundTruth) Time {
+	if stabilize == 0 && churn.Fraction > 0 {
+		return truth.LastChange() + 50
+	}
+	return stabilize
+}
+
+// runChurnConsensus is the shared tail of the consensus runners: apply
+// the schedule, monitor decision stability, run until every eventually-up
+// process decided (or the horizon), cross-check engine bookkeeping against
+// the truth, and verify the properties with CheckConsensus.
 func runChurnConsensus(eng *sim.Engine, rec *trace.Recorder, truth *fd.GroundTruth,
-	schedule []ChurnEvent, proposals []Value, horizon Time,
+	schedule []ChurnEvent, churn ChurnSpec, proposals []Value, horizon Time,
 	outcome func(sim.PID) core.Outcome, invariant func(sim.PID) error) (ChurnConsensusResult, error) {
 	eng.ApplyChurn(schedule)
 	mon := check.NewDecisionMonitor()
@@ -243,14 +185,19 @@ func runChurnConsensus(eng *sim.Engine, rec *trace.Recorder, truth *fd.GroundTru
 		}
 		return true
 	})
+	// A run that executed reports how it stopped and what it cost even
+	// when it fails verification.
+	failed := func(err error) (ChurnConsensusResult, error) {
+		return ChurnConsensusResult{Stopped: eng.Stopped(), Stats: rec.Stats()}, err
+	}
 	if err := guardErr(eng); err != nil {
-		return ChurnConsensusResult{}, err
+		return failed(err)
 	}
 	if err := checkTruthConsistency(eng, truth); err != nil {
-		return ChurnConsensusResult{}, err
+		return failed(err)
 	}
 	if err := mon.Err(); err != nil {
-		return ChurnConsensusResult{}, err
+		return failed(err)
 	}
 
 	n := len(proposals)
@@ -258,10 +205,33 @@ func runChurnConsensus(eng *sim.Engine, rec *trace.Recorder, truth *fd.GroundTru
 	for p := 0; p < n; p++ {
 		outcomes[p] = outcome(sim.PID(p))
 		if err := invariant(sim.PID(p)); err != nil {
-			return ChurnConsensusResult{}, fmt.Errorf("hds: internal invariant: %w", err)
+			return failed(fmt.Errorf("hds: internal invariant: %w", err))
 		}
 	}
-	rep, err := check.ConsensusChurn(truth, proposals, outcomes)
+	res, err := CheckConsensus(churn, truth, proposals, outcomes)
+	if err != nil {
+		return failed(err)
+	}
+	res.Recoveries = eng.Recoveries()
+	res.Stopped = eng.Stopped()
+	res.Stats = rec.Stats()
+	return res, nil
+}
+
+// CheckConsensus verifies final consensus outcomes against the ground
+// truth and fills in the result's verdict fields (report, fault-pattern
+// summary, decision latency after the last fault). Termination is stated
+// over the correct processes for a crash-stop run (the zero churn spec)
+// and over the eventually-up processes under churn; the two sets coincide
+// when nothing recovers, and only the wording of a violation differs. The
+// runners and offline verification share it, so a recorded run is judged
+// exactly as it was live.
+func CheckConsensus(churn ChurnSpec, truth *fd.GroundTruth, proposals []Value, outcomes []core.Outcome) (ChurnConsensusResult, error) {
+	verify := check.Consensus
+	if churn.Fraction > 0 {
+		verify = check.ConsensusChurn
+	}
+	rep, err := verify(truth, proposals, outcomes)
 	if err != nil {
 		return ChurnConsensusResult{}, err
 	}
@@ -270,9 +240,6 @@ func runChurnConsensus(eng *sim.Engine, rec *trace.Recorder, truth *fd.GroundTru
 		LastChange:   truth.LastChange(),
 		EventuallyUp: len(truth.EventuallyUp()),
 		Correct:      len(truth.Correct()),
-		Recoveries:   eng.Recoveries(),
-		Stopped:      eng.Stopped(),
-		Stats:        rec.Stats(),
 	}
 	if rep.LastDecision > res.LastChange {
 		res.DecideAfterChurn = rep.LastDecision - res.LastChange

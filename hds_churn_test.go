@@ -7,8 +7,8 @@ import (
 	"repro/internal/sim"
 )
 
-func TestRunChurnOHPReconverges(t *testing.T) {
-	res, err := RunChurnOHP(ChurnOHPExperiment{
+func TestRunOHPChurnReconverges(t *testing.T) {
+	res, err := RunOHP(OHPExperiment{
 		IDs:   BalancedIDs(12, 4),
 		Churn: ChurnSpec{Fraction: 0.25, Cycles: 2, Start: 30, Down: 40, Up: 60, Stagger: 7},
 		Seed:  1, Horizon: 3000,
@@ -25,18 +25,18 @@ func TestRunChurnOHPReconverges(t *testing.T) {
 	if res.Recoveries != 6 {
 		t.Errorf("Recoveries = %d, want 6 (3 churners × 2 cycles)", res.Recoveries)
 	}
-	if res.TrustedRestab < res.LastChange {
-		t.Errorf("re-stabilization %d before the last fault-pattern change %d", res.TrustedRestab, res.LastChange)
+	if res.TrustedStabilization < res.LastChange {
+		t.Errorf("re-stabilization %d before the last fault-pattern change %d", res.TrustedStabilization, res.LastChange)
 	}
 	if res.Leader.ID == "" || res.Leader.Multiplicity == 0 {
 		t.Errorf("no stabilized leader: %v", res.Leader)
 	}
 }
 
-func TestRunChurnOHPFinalDown(t *testing.T) {
+func TestRunOHPChurnFinalDown(t *testing.T) {
 	// Churners that never come back degrade churn to crash-stop for them:
 	// the detector must settle on the strictly smaller eventually-up set.
-	res, err := RunChurnOHP(ChurnOHPExperiment{
+	res, err := RunOHP(OHPExperiment{
 		IDs:   BalancedIDs(8, 4),
 		Churn: ChurnSpec{Fraction: 0.25, Cycles: 2, Start: 30, Down: 30, Up: 40, FinalDown: true},
 		Seed:  2, Horizon: 3000,
@@ -87,12 +87,22 @@ func TestGuardSurfacedInDrivers(t *testing.T) {
 		t.Fatalf("Stopped = %v, want max-events", res.Stopped)
 	}
 	// The verifying runners turn the same condition into an error.
-	_, err = RunChurnOHP(ChurnOHPExperiment{
+	_, err = RunOHP(OHPExperiment{
 		IDs:   BalancedIDs(12, 4),
 		Churn: ChurnSpec{Fraction: 0.25, Cycles: 1},
 		Seed:  5, Horizon: 3000, MaxEvents: 100,
 	})
 	if err == nil || !strings.Contains(err.Error(), "MaxEvents") {
-		t.Fatalf("RunChurnOHP on a guard-tripped run: err = %v, want MaxEvents error", err)
+		t.Fatalf("RunOHP on a guard-tripped run: err = %v, want MaxEvents error", err)
+	}
+	// A crash-stop run goes through the same runner, so the guard holds
+	// for it too.
+	_, err = RunOHP(OHPExperiment{
+		IDs:     BalancedIDs(12, 4),
+		Crashes: map[PID]Time{3: 40},
+		Seed:    5, Horizon: 3000, MaxEvents: 100,
+	})
+	if err == nil || !strings.Contains(err.Error(), "MaxEvents") {
+		t.Fatalf("crash-stop RunOHP on a guard-tripped run: err = %v, want MaxEvents error", err)
 	}
 }

@@ -13,21 +13,29 @@ import (
 )
 
 // OHPExperiment describes one standalone run of the Figure 6 detector
-// (◇HP̄ + HΩ) in the partially synchronous system HPS.
+// (◇HP̄ + HΩ) in the partially synchronous system HPS. The zero Churn spec
+// is the paper's crash-stop model; a non-zero one cycles churners down and
+// up, and the detector must re-converge to I(EventuallyUp) — the
+// crash-recovery restatement of the class properties, whose crash-stop
+// forms are the special case with no recoveries.
 type OHPExperiment struct {
-	IDs     Assignment
+	IDs   Assignment
+	Churn ChurnSpec
+	// Crashes are permanent crash-stop crashes, folded into the churn
+	// schedule; a process may appear in at most one of the two.
 	Crashes map[PID]Time
-	GST     Time
-	Delta   Time
-	// Net overrides the network model. When nil the experiment runs on
-	// PartialSync{GST, Delta} — the paper's HPS setting. Any eventually
-	// timely model works (the truncated heavy-tail models qualify: their
-	// Cap bounds every delay); the delay ablation experiment (E19) sweeps
-	// them.
+	// Net defaults to PartialSync{Delta: 3}: timely from the start, so a
+	// measured (re-)stabilization is attributable to the faults, not to
+	// GST. Any eventually timely model works (the truncated heavy-tail
+	// models qualify: their Cap bounds every delay); the delay ablation
+	// experiment (E19) sweeps them.
 	Net  sim.Model
 	Seed int64
-	// Horizon caps virtual time (default 5000).
+	// Horizon caps virtual time (default 5000). It must exceed the fault
+	// schedule's last event (enforced).
 	Horizon Time
+	// MaxEvents overrides the engine's runaway guard (0 = engine default).
+	MaxEvents int
 	// Trace, when non-nil, replaces the default stats-only recorder: pass
 	// a retaining recorder for a full in-memory trace, or one with a
 	// trace.Sink attached to stream batches (spill mode). The caller owns
@@ -35,55 +43,72 @@ type OHPExperiment struct {
 	Trace *trace.Recorder
 }
 
-// OHPResult reports the verified detector run.
+// OHPResult reports the verified detector run. A run that executed but
+// failed verification still reports Stopped and Stats alongside the error.
 type OHPResult struct {
-	// TrustedStabilization is the virtual time at which the last correct
-	// process's h_trusted changed for the last time (to I(Correct)).
+	// TrustedStabilization is the virtual time at which the last
+	// eventually-up process's h_trusted changed for the last time (to
+	// I(EventuallyUp), which is I(Correct) in a crash-stop run).
 	TrustedStabilization Time
 	// LeaderStabilization is the analogous instant for the HΩ output.
 	LeaderStabilization Time
 	// Leader is the stabilized HΩ output.
 	Leader LeaderInfo
+	// LastChange is the final fault-pattern change (last crash or
+	// recovery) — the earliest instant re-stabilization could begin.
+	LastChange Time
+	// EventuallyUp and Correct are |EventuallyUp| and |Correct|.
+	EventuallyUp, Correct int
+	// Recoveries counts executed recover events.
+	Recoveries int
+	// Stopped is why the run ended (horizon for a healthy detector run:
+	// polling never quiesces).
+	Stopped sim.StopReason
 	// Stats aggregates message costs over the horizon.
 	Stats Stats
 	// FinalTimeouts are the adapted per-process timeout values.
 	FinalTimeouts []Time
 }
 
-// RunOHP executes Figure 6 on every process, verifies the ◇HP̄ and HΩ
-// class properties against the ground truth, and reports stabilization
-// times and costs (experiment E6/E7).
+// RunOHP executes Figure 6 on every process under the fault schedule,
+// verifies the ◇HP̄ and HΩ class properties against the ground truth,
+// cross-checks the engine's incremental fault bookkeeping against the
+// schedule-derived truth, and reports stabilization times and costs
+// (experiments E6/E7, E18). Malformed inputs — an invalid assignment, a
+// crash naming no process, or a horizon that cuts the fault schedule short
+// — are rejected with errors, not run: a truncated schedule would yield
+// meaningless stabilization times.
 func RunOHP(e OHPExperiment) (OHPResult, error) {
+	if err := validateExperiment(e.IDs, e.Crashes, nil); err != nil {
+		return OHPResult{}, err
+	}
 	if e.Horizon == 0 {
 		e.Horizon = 5000
 	}
-	if e.Delta == 0 {
-		e.Delta = 3
+	schedule, truth, err := churnFaultPattern(e.IDs, e.Churn, e.Crashes, e.Horizon)
+	if err != nil {
+		return OHPResult{}, err
 	}
-	n := e.IDs.N()
 	net := e.Net
 	if net == nil {
-		net = sim.PartialSync{GST: e.GST, Delta: e.Delta}
+		net = sim.PartialSync{Delta: 3}
 	}
+	n := e.IDs.N()
 	rec := traceRecorder(e.Trace)
-	eng := sim.New(sim.Config{
-		IDs:      e.IDs,
-		Net:      net,
-		Seed:     e.Seed,
-		Recorder: rec,
-	})
+	eng := sim.New(sim.Config{IDs: e.IDs, Net: net, Seed: e.Seed, Recorder: rec, MaxEvents: e.MaxEvents})
 	dets := make([]*ohp.Detector, n)
 	for i := range dets {
 		dets[i] = ohp.New()
 		eng.AddProcess(dets[i])
 	}
-	eng.CrashSchedule(e.Crashes)
-	truth := fd.NewGroundTruth(e.IDs, e.Crashes)
+	eng.ApplyChurn(schedule)
 	// The trusted probe samples the detector's live view: no clone on the
 	// per-event path (OnTimer replaces h_trusted wholesale, so stored views
 	// are never mutated after sampling). Streaming probes suffice — the
-	// checkers judge final views only — and their change streams feed the
-	// trace when one is kept, so a replay can re-verify the same verdicts.
+	// checkers judge final views and stabilization times only, so O(1)
+	// state per process — and their change streams feed the trace when one
+	// is kept, so a replay can re-verify the same verdicts. Equivalence
+	// with the materialized Probe pipeline is pinned in internal/fd.
 	trustedProbe := fd.NewStreamProbe(eng, n, func(p sim.PID) (*multiset.Multiset[ident.ID], bool) {
 		if eng.Crashed(p) {
 			return nil, false
@@ -102,28 +127,53 @@ func RunOHP(e OHPExperiment) (OHPResult, error) {
 	}
 
 	eng.Run(e.Horizon)
-	if err := guardErr(eng); err != nil {
-		return OHPResult{}, err
+	// A run that executed reports how it stopped and what it cost even
+	// when it fails verification.
+	failed := func(err error) (OHPResult, error) {
+		return OHPResult{Stopped: eng.Stopped(), Stats: rec.Stats()}, err
 	}
+	if err := guardErr(eng); err != nil {
+		return failed(err)
+	}
+	if err := checkTruthConsistency(eng, truth); err != nil {
+		return failed(err)
+	}
+	out, err := CheckOHP(truth, trustedProbe, leaderProbe)
+	if err != nil {
+		return failed(err)
+	}
+	out.Recoveries = eng.Recoveries()
+	out.Stopped = eng.Stopped()
+	out.Stats = rec.Stats()
+	for _, d := range dets {
+		out.FinalTimeouts = append(out.FinalTimeouts, d.Timeout())
+	}
+	return out, nil
+}
 
-	resT, err := fd.CheckDiamondHPbar(truth, trustedProbe)
+// CheckOHP verifies the ◇HP̄ and HΩ class properties of the sampled
+// detector outputs against the ground truth and fills in the result's
+// verdict fields (stabilization times, leader, fault-pattern summary).
+// The runner and offline verification share it, so a recorded run is
+// judged exactly as it was live.
+func CheckOHP(truth *fd.GroundTruth, trusted fd.FinalView[*multiset.Multiset[ident.ID]], leader fd.FinalView[fd.LeaderInfo]) (OHPResult, error) {
+	resT, err := fd.CheckDiamondHPbar(truth, trusted)
 	if err != nil {
 		return OHPResult{}, err
 	}
-	resL, err := fd.CheckHOmega(truth, leaderProbe)
+	resL, err := fd.CheckHOmega(truth, leader)
 	if err != nil {
 		return OHPResult{}, err
 	}
 	out := OHPResult{
 		TrustedStabilization: resT.StabilizationTime,
 		LeaderStabilization:  resL.StabilizationTime,
-		Stats:                rec.Stats(),
+		LastChange:           truth.LastChange(),
+		EventuallyUp:         len(truth.EventuallyUp()),
+		Correct:              len(truth.Correct()),
 	}
-	if correct := truth.Correct(); len(correct) > 0 {
-		out.Leader, _ = leaderProbe.Last(correct[0])
-	}
-	for _, d := range dets {
-		out.FinalTimeouts = append(out.FinalTimeouts, d.Timeout())
+	if up := truth.EventuallyUp(); len(up) > 0 {
+		out.Leader, _ = leader.Last(up[0])
 	}
 	return out, nil
 }

@@ -76,8 +76,7 @@ func TestRunOHP(t *testing.T) {
 	res, err := RunOHP(OHPExperiment{
 		IDs:     BalancedIDs(5, 2),
 		Crashes: map[PID]Time{2: 50},
-		GST:     60,
-		Delta:   3,
+		Net:     PartialSync{GST: 60, Delta: 3},
 		Seed:    5,
 	})
 	if err != nil {

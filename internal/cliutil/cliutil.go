@@ -65,15 +65,39 @@ func ValidateTraceFormat(format, tracePath string) error {
 	return nil
 }
 
+// MaxN bounds the system size a flag or a trace fingerprint may ask for.
+// It sits well above the largest population the repository runs (the
+// n=50,000 heartbeat workload), and well below sizes whose identifier
+// assignment alone would exhaust memory.
+const MaxN = 1_000_000
+
 // ValidateSize checks a system size n and identifier count l (the -n and
 // -l flags, or a trace fingerprint's N and L) before ident.Balanced sees
-// them: n ≥ 1 and 1 ≤ l ≤ n. Out-of-range values used to panic there.
+// them: 1 ≤ n ≤ MaxN and 1 ≤ l ≤ n. Out-of-range values used to panic
+// there, or allocate n identifiers until memory ran out.
 func ValidateSize(n, l int) error {
 	if n < 1 {
 		return fmt.Errorf("-n %d: must be ≥ 1", n)
 	}
+	if n > MaxN {
+		return fmt.Errorf("-n %d: must be ≤ %d", n, MaxN)
+	}
 	if l < 1 || l > n {
 		return fmt.Errorf("-l %d: must be in [1, n=%d] (1 = anonymous, n = unique)", l, n)
+	}
+	return nil
+}
+
+// ValidateTiming checks the -gst and -delta flags (or a trace
+// fingerprint's GST and Delta): gst ≥ 0 and delta ≥ 1. The network model
+// silently replaces a δ below 1 with its own default, so without this
+// check the header would name a δ the run never used.
+func ValidateTiming(gst, delta int64) error {
+	if gst < 0 {
+		return fmt.Errorf("-gst %d: must be ≥ 0", gst)
+	}
+	if delta < 1 {
+		return fmt.Errorf("-delta %d: must be ≥ 1", delta)
 	}
 	return nil
 }

@@ -376,6 +376,12 @@ func TestValidateSize(t *testing.T) {
 		{3, 5, "-l 5: must be in [1, n=3]"},
 		{3, 0, "-l 0"},
 		{3, -1, "-l -1"},
+		{MaxN, 1, ""},
+		{MaxN + 1, 1, "must be ≤"},
+		// A forged trace fingerprint once reached ident.Balanced with this
+		// size and allocated until memory ran out; it must be refused
+		// before anything is allocated.
+		{1 << 34, 1, "-n 17179869184: must be ≤"},
 	}
 	for _, c := range cases {
 		err := ValidateSize(c.n, c.l)
@@ -387,6 +393,32 @@ func TestValidateSize(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
 			t.Errorf("ValidateSize(%d, %d) = %v, want error containing %q", c.n, c.l, err, c.wantErr)
+		}
+	}
+}
+
+func TestValidateTiming(t *testing.T) {
+	cases := []struct {
+		gst, delta int64
+		wantErr    string // substring; empty = valid
+	}{
+		{0, 1, ""}, // fully timely, smallest bound
+		{0, 3, ""}, // the flag defaults
+		{200, 5, ""},
+		{-5, 3, "-gst -5: must be ≥ 0"},
+		{0, 0, "-delta 0: must be ≥ 1"},
+		{50, -2, "-delta -2"},
+	}
+	for _, c := range cases {
+		err := ValidateTiming(c.gst, c.delta)
+		if c.wantErr == "" {
+			if err != nil {
+				t.Errorf("ValidateTiming(%d, %d) = %v, want nil", c.gst, c.delta, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("ValidateTiming(%d, %d) = %v, want error containing %q", c.gst, c.delta, err, c.wantErr)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bufio"
 	"os"
 	"strings"
 	"testing"
@@ -8,16 +9,52 @@ import (
 	"repro/internal/campaign"
 )
 
+// goldenDigestsPath pins every table's campaign digest. The file is
+// written once and never regenerated by refactors: a refactor that claims
+// "same bytes" must reproduce it unchanged, and only a change that means
+// to alter a table's rows may edit the affected line.
+const goldenDigestsPath = "testdata/digests.txt"
+
+// readGoldenDigests parses goldenDigestsPath: one "<table id> <digest>"
+// pair per line.
+func readGoldenDigests(t *testing.T) map[string]string {
+	t.Helper()
+	f, err := os.Open(goldenDigestsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	golden := make(map[string]string)
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) != 2 {
+			t.Fatalf("%s: malformed line %q", goldenDigestsPath, sc.Text())
+		}
+		golden[fields[0]] = fields[1]
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return golden
+}
+
 // TestAllTablesVerified runs every experiment end to end and asserts no
 // row reports a verification failure — the experiment suite is itself a
-// regression test for the whole stack.
+// regression test for the whole stack — and that every table's campaign
+// digest matches the golden file, so the rows are byte-identical to the
+// ones it was written from.
 func TestAllTablesVerified(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep")
 	}
+	golden := readGoldenDigests(t)
 	tables, err := All()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(golden) != len(tables) {
+		t.Errorf("%s pins %d tables, the registry builds %d", goldenDigestsPath, len(golden), len(tables))
 	}
 	ids := make(map[string]bool)
 	for _, table := range tables {
@@ -35,6 +72,9 @@ func TestAllTablesVerified(t *testing.T) {
 			}
 			if table.Digest == "" {
 				t.Fatal("table has no campaign digest")
+			}
+			if want := golden[table.ID]; table.Digest != want {
+				t.Errorf("campaign digest %s, golden %s: the table's rows changed", table.Digest, want)
 			}
 			if len(table.Rows) == 0 {
 				t.Fatal("experiment produced no rows")

@@ -45,7 +45,7 @@ func E18ChurnSweep() (Table, error) {
 		base := []string{c.workload, itoaI(c.n), itoaI(c.l), c.churn.String()}
 		switch c.workload {
 		case "fig6-ohp":
-			res, err := hds.RunChurnOHP(hds.ChurnOHPExperiment{
+			res, err := hds.RunOHP(hds.OHPExperiment{
 				IDs: ids, Churn: c.churn, Seed: c.seed, Horizon: c.horizon,
 			})
 			if err != nil {
@@ -54,7 +54,7 @@ func E18ChurnSweep() (Table, error) {
 			return append(base,
 				fmt.Sprintf("%d/%d", res.EventuallyUp, c.n), itoaI(res.Recoveries),
 				itoaI(res.Stats.Delivered+res.Stats.Dropped),
-				fmt.Sprintf("%d (last change %d)", res.TrustedRestab, res.LastChange),
+				fmt.Sprintf("%d (last change %d)", res.TrustedStabilization, res.LastChange),
 				res.Stopped.String())
 		default:
 			res, err := hds.RunHeartbeatChurn(hds.HeartbeatExperiment{
@@ -112,7 +112,7 @@ func E20ChurnConsensus() (Table, error) {
 		var err error
 		switch c.workload {
 		case "fig9", "fig9-anon":
-			res, err = hds.RunChurnFig9(hds.ChurnFig9Experiment{
+			res, err = hds.RunChurnFig9(hds.Fig9Experiment{
 				IDs: ids, Churn: c.churn, Net: c.net,
 				AnonymousBaseline: c.workload == "fig9-anon", Seed: c.seed,
 			})
@@ -121,7 +121,7 @@ func E20ChurnConsensus() (Table, error) {
 			if c.workload == "fig8-mp" {
 				det = hds.MessagePassingDetectors
 			}
-			res, err = hds.RunChurnFig8(hds.ChurnFig8Experiment{
+			res, err = hds.RunChurnFig8(hds.Fig8Experiment{
 				IDs: ids, T: c.t, Churn: c.churn, Net: c.net, Detectors: det, Seed: c.seed,
 			})
 		}

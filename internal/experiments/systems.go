@@ -42,8 +42,7 @@ func E6DiamondHPbar() (Table, error) {
 		res, err := hds.RunOHP(hds.OHPExperiment{
 			IDs:     ident.Balanced(c.n, c.l),
 			Crashes: c.crashes,
-			GST:     c.gst,
-			Delta:   c.delta,
+			Net:     hds.PartialSync{GST: c.gst, Delta: c.delta},
 			Seed:    c.seed,
 			Horizon: 6000,
 		})
@@ -91,7 +90,7 @@ func E7HOmegaExtraction() (Table, error) {
 		res, err := hds.RunOHP(hds.OHPExperiment{
 			IDs:     ident.Balanced(c.n, c.l),
 			Crashes: c.crashes,
-			GST:     50, Delta: 3,
+			Net:     hds.PartialSync{GST: 50, Delta: 3},
 			Seed:    int64(40 + i),
 			Horizon: 6000,
 		})

@@ -213,10 +213,7 @@ func Sanitize(s Scenario) Scenario {
 		}
 		s.T = clampInt(s.T, faults, maxT)
 	case "ohp":
-		// RunChurnOHP drives churn only; crash-stops belong to RunOHP.
-		if s.Churn.Fraction > 0 {
-			s.Crashes = nil
-		}
+		// The detector runs without an oracle layer.
 		s.Stabilize, s.Adversary = 0, ""
 	case "heartbeat":
 		// The heartbeat runner has no crash-stop schedule or oracle.

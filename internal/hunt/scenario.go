@@ -44,9 +44,9 @@ type Scenario struct {
 	// Adversary is none, rotate, or split ("" = rotate, the CLI default).
 	Adversary string   `json:"adversary,omitempty"`
 	Stabilize sim.Time `json:"stabilize,omitempty"`
-	// MaxEvents overrides the engine's runaway guard where the runner
-	// supports it (churn consensus, heartbeat). Mutators leave it 0: a
-	// tight cap turns every scenario into a guard "failure".
+	// MaxEvents overrides the engine's runaway guard (every runner
+	// supports it). Mutators leave it 0: a tight cap turns every scenario
+	// into a guard "failure".
 	MaxEvents int `json:"maxEvents,omitempty"`
 	// Period is the heartbeat beat interval (heartbeat only; 0 = default).
 	Period sim.Time `json:"period,omitempty"`
@@ -341,51 +341,28 @@ func (s Scenario) exec() Outcome {
 		return configOutcome(err)
 	}
 	ids := hds.BalancedIDs(s.N, s.L)
+	churn := s.Churn.Fraction > 0 // selects the verdict wording only
 	switch s.Kind {
 	case "fig8":
-		if s.Churn.Fraction > 0 {
-			res, err := hds.RunChurnFig8(hds.ChurnFig8Experiment{
-				IDs: ids, T: s.T, Churn: s.Churn, Crashes: s.crashMap(), Net: net,
-				Stabilize: s.Stabilize, Adversary: s.adversary(), Seed: s.Seed,
-				Horizon: s.Horizon, MaxEvents: s.MaxEvents,
-			})
-			return churnConsensusOutcome(res, err)
-		}
-		rep, stats, err := hds.RunFig8(hds.Fig8Experiment{
-			IDs: ids, T: s.T, Crashes: s.crashMap(), Net: net,
-			Stabilize: s.Stabilize, Adversary: s.adversary(), Seed: s.Seed, Horizon: s.Horizon,
+		res, err := hds.RunChurnFig8(hds.Fig8Experiment{
+			IDs: ids, T: s.T, Churn: s.Churn, Crashes: s.crashMap(), Net: net,
+			Stabilize: s.Stabilize, Adversary: s.adversary(), Seed: s.Seed,
+			Horizon: s.Horizon, MaxEvents: s.MaxEvents,
 		})
-		return consensusOutcome(rep, stats, err)
+		return consensusOutcome(res, err, churn)
 	case "fig9", "fig9-anon":
-		anon := s.Kind == "fig9-anon"
-		if s.Churn.Fraction > 0 {
-			res, err := hds.RunChurnFig9(hds.ChurnFig9Experiment{
-				IDs: ids, Churn: s.Churn, Crashes: s.crashMap(), Net: net,
-				AnonymousBaseline: anon, Stabilize: s.Stabilize, Adversary: s.adversary(),
-				Seed: s.Seed, Horizon: s.Horizon, MaxEvents: s.MaxEvents,
-			})
-			return churnConsensusOutcome(res, err)
-		}
-		rep, stats, err := hds.RunFig9(hds.Fig9Experiment{
-			IDs: ids, Crashes: s.crashMap(), Net: net,
-			AnonymousBaseline: anon, Stabilize: s.Stabilize, Adversary: s.adversary(),
-			Seed: s.Seed, Horizon: s.Horizon,
+		res, err := hds.RunChurnFig9(hds.Fig9Experiment{
+			IDs: ids, Churn: s.Churn, Crashes: s.crashMap(), Net: net,
+			AnonymousBaseline: s.Kind == "fig9-anon", Stabilize: s.Stabilize, Adversary: s.adversary(),
+			Seed: s.Seed, Horizon: s.Horizon, MaxEvents: s.MaxEvents,
 		})
-		return consensusOutcome(rep, stats, err)
+		return consensusOutcome(res, err, churn)
 	case "ohp":
-		if s.Churn.Fraction > 0 {
-			res, err := hds.RunChurnOHP(hds.ChurnOHPExperiment{
-				IDs: ids, Churn: s.Churn, Net: net, Seed: s.Seed,
-				Horizon: s.Horizon, MaxEvents: s.MaxEvents,
-			})
-			return churnOHPOutcome(res, err)
-		}
-		exp := hds.OHPExperiment{IDs: ids, Crashes: s.crashMap(), Delta: 3, Seed: s.Seed, Horizon: s.Horizon}
-		if net != nil {
-			exp.Net = net
-		}
-		res, err := hds.RunOHP(exp)
-		return ohpOutcome(res, err)
+		res, err := hds.RunOHP(hds.OHPExperiment{
+			IDs: ids, Churn: s.Churn, Crashes: s.crashMap(), Net: net, Seed: s.Seed,
+			Horizon: s.Horizon, MaxEvents: s.MaxEvents,
+		})
+		return ohpOutcome(res, err, churn)
 	case "heartbeat":
 		res, err := hds.RunHeartbeatChurn(hds.HeartbeatExperiment{
 			IDs: ids, Churn: s.Churn, Net: net, Period: s.Period, Seed: s.Seed,

@@ -123,63 +123,43 @@ func configOutcome(err error) Outcome {
 	}
 }
 
-func consensusOutcome(rep hds.Report, stats hds.Stats, err error) Outcome {
-	if err != nil {
-		return failOutcome(err, stats, "")
+// consensusOutcome classifies a consensus run. churn selects the verdict
+// form: a crash-stop verdict carries no stop reason, fault summary or
+// recovery count, and pinned corpus verdicts depend on both forms.
+func consensusOutcome(res hds.ChurnConsensusResult, err error, churn bool) Outcome {
+	stop := ""
+	if churn {
+		stop = res.Stopped.String()
 	}
-	return Outcome{
-		OK:    true,
-		Round: rep.MaxRound,
-		Stats: stats,
-		Verdict: fmt.Sprintf("PASS rounds=%d deciders=%d span=%d..%d value=%q bcast=%d deliv=%d drop=%d",
-			rep.MaxRound, rep.Deciders, rep.FirstDecision, rep.LastDecision, rep.Value,
-			stats.Broadcasts, stats.Delivered, stats.Dropped),
-	}
-}
-
-func churnConsensusOutcome(res hds.ChurnConsensusResult, err error) Outcome {
-	stop := res.Stopped.String()
 	if err != nil {
 		return failOutcome(err, res.Stats, stop)
 	}
-	return Outcome{
-		OK:    true,
-		Round: res.Report.MaxRound,
-		Stop:  stop,
-		Stats: res.Stats,
-		Verdict: fmt.Sprintf("PASS rounds=%d deciders=%d span=%d..%d value=%q up=%d rec=%d stop=%s bcast=%d deliv=%d drop=%d",
-			res.Report.MaxRound, res.Report.Deciders, res.Report.FirstDecision, res.Report.LastDecision,
-			res.Report.Value, res.EventuallyUp, res.Recoveries, stop,
-			res.Stats.Broadcasts, res.Stats.Delivered, res.Stats.Dropped),
+	rep, stats := res.Report, res.Stats
+	verdict := fmt.Sprintf("PASS rounds=%d deciders=%d span=%d..%d value=%q ",
+		rep.MaxRound, rep.Deciders, rep.FirstDecision, rep.LastDecision, rep.Value)
+	if churn {
+		verdict += fmt.Sprintf("up=%d rec=%d stop=%s ", res.EventuallyUp, res.Recoveries, stop)
 	}
+	verdict += fmt.Sprintf("bcast=%d deliv=%d drop=%d", stats.Broadcasts, stats.Delivered, stats.Dropped)
+	return Outcome{OK: true, Round: rep.MaxRound, Stop: stop, Stats: stats, Verdict: verdict}
 }
 
-func ohpOutcome(res hds.OHPResult, err error) Outcome {
-	if err != nil {
-		return failOutcome(err, res.Stats, "")
+// ohpOutcome classifies a detector run; churn selects the verdict form
+// (see consensusOutcome).
+func ohpOutcome(res hds.OHPResult, err error, churn bool) Outcome {
+	stop := ""
+	if churn {
+		stop = res.Stopped.String()
 	}
-	return Outcome{
-		OK:    true,
-		Stats: res.Stats,
-		Verdict: fmt.Sprintf("PASS trusted=%d leader=%d bcast=%d deliv=%d drop=%d",
-			res.TrustedStabilization, res.LeaderStabilization,
-			res.Stats.Broadcasts, res.Stats.Delivered, res.Stats.Dropped),
-	}
-}
-
-func churnOHPOutcome(res hds.ChurnOHPResult, err error) Outcome {
-	stop := res.Stopped.String()
 	if err != nil {
 		return failOutcome(err, res.Stats, stop)
 	}
-	return Outcome{
-		OK:    true,
-		Stop:  stop,
-		Stats: res.Stats,
-		Verdict: fmt.Sprintf("PASS trusted=%d leader=%d up=%d rec=%d stop=%s bcast=%d deliv=%d drop=%d",
-			res.TrustedRestab, res.LeaderRestab, res.EventuallyUp, res.Recoveries, stop,
-			res.Stats.Broadcasts, res.Stats.Delivered, res.Stats.Dropped),
+	verdict := fmt.Sprintf("PASS trusted=%d leader=%d ", res.TrustedStabilization, res.LeaderStabilization)
+	if churn {
+		verdict += fmt.Sprintf("up=%d rec=%d stop=%s ", res.EventuallyUp, res.Recoveries, stop)
 	}
+	verdict += fmt.Sprintf("bcast=%d deliv=%d drop=%d", res.Stats.Broadcasts, res.Stats.Delivered, res.Stats.Dropped)
+	return Outcome{OK: true, Stop: stop, Stats: res.Stats, Verdict: verdict}
 }
 
 func heartbeatOutcome(res hds.HeartbeatResult, err error) Outcome {

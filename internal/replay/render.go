@@ -22,31 +22,25 @@ func WriteConsensusHeader(w io.Writer, sc *Scenario) {
 		m.Algo, m.N, m.L, sc.IDs, m.Crashes, m.Churn, m.Seed)
 }
 
-// ChurnInfo carries the churn-specific lines of a consensus block.
-type ChurnInfo struct {
-	EventuallyUp, Correct int
-	Recoveries            int
-	LastChange            hds.Time
-	DecideAfterChurn      hds.Time
-}
-
-// WriteConsensusBlock writes the verified-consensus report; churn is nil
-// for crash-stop runs.
-func WriteConsensusBlock(w io.Writer, n int, rep hds.Report, churn *ChurnInfo, stats hds.Stats) {
-	if churn != nil {
+// WriteConsensusBlock writes the verified-consensus report, in the
+// crash-stop or the churn form depending on the scenario.
+func WriteConsensusBlock(w io.Writer, sc *Scenario, res hds.ChurnConsensusResult) {
+	churn := sc.Churn.Fraction > 0
+	if churn {
 		fmt.Fprintln(w, "consensus verified ✔ (termination over the eventually-up set, validity, agreement, decision stability)")
 	} else {
 		fmt.Fprintln(w, "consensus verified ✔ (termination, validity, agreement)")
 	}
+	rep, stats := res.Report, res.Stats
 	fmt.Fprintf(w, "  decided value:    %q\n", rep.Value)
 	fmt.Fprintf(w, "  deciders:         %d\n", rep.Deciders)
 	fmt.Fprintf(w, "  rounds:           %d\n", rep.MaxRound)
 	fmt.Fprintf(w, "  decisions span:   t=%d .. t=%d\n", rep.FirstDecision, rep.LastDecision)
-	if churn != nil {
-		fmt.Fprintf(w, "  eventually up:    %d/%d (correct in the strict sense: %d)\n", churn.EventuallyUp, n, churn.Correct)
-		fmt.Fprintf(w, "  recoveries:       %d\n", churn.Recoveries)
-		fmt.Fprintf(w, "  last churn event: t=%d\n", churn.LastChange)
-		fmt.Fprintf(w, "  decide after churn: +%d\n", churn.DecideAfterChurn)
+	if churn {
+		fmt.Fprintf(w, "  eventually up:    %d/%d (correct in the strict sense: %d)\n", res.EventuallyUp, sc.Meta.N, res.Correct)
+		fmt.Fprintf(w, "  recoveries:       %d\n", res.Recoveries)
+		fmt.Fprintf(w, "  last churn event: t=%d\n", res.LastChange)
+		fmt.Fprintf(w, "  decide after churn: +%d\n", res.DecideAfterChurn)
 	}
 	fmt.Fprintf(w, "  broadcasts:       %d total — %s\n", stats.Broadcasts, cliutil.FormatTagCounts(stats.ByTag))
 	fmt.Fprintf(w, "  deliveries/drops: %d/%d\n", stats.Delivered, stats.Dropped)
@@ -56,28 +50,31 @@ func WriteConsensusBlock(w io.Writer, n int, rep hds.Report, churn *ChurnInfo, s
 // churn form, depending on the scenario).
 func WriteOHPHeader(w io.Writer, sc *Scenario) {
 	if sc.Churn.Fraction > 0 {
-		fmt.Fprintf(w, "algo=ohp ids=%v churn=%s net=%s seed=%d\n", sc.IDs, sc.Churn, sc.Net, sc.Meta.Seed)
+		fmt.Fprintf(w, "algo=ohp ids=%v churn=%s", sc.IDs, sc.Churn)
+		if len(sc.Crashes) > 0 {
+			fmt.Fprintf(w, " crashes=%d", len(sc.Crashes))
+		}
+		fmt.Fprintf(w, " net=%s seed=%d\n", sc.Net, sc.Meta.Seed)
 		return
 	}
 	fmt.Fprintf(w, "algo=ohp ids=%v crashes=%d net=%s seed=%d\n", sc.IDs, len(sc.Crashes), sc.Net, sc.Meta.Seed)
 }
 
-// WriteOHPBlock writes the crash-stop detector report.
-func WriteOHPBlock(w io.Writer, res hds.OHPResult) {
-	fmt.Fprintln(w, "detector verified ✔ (◇HP̄ + HΩ)")
-	fmt.Fprintf(w, "  ◇HP̄ stabilized:  t=%d\n", res.TrustedStabilization)
-	fmt.Fprintf(w, "  HΩ stabilized:    t=%d  leader=%s\n", res.LeaderStabilization, res.Leader)
-	fmt.Fprintf(w, "  broadcasts:       %d — %s\n", res.Stats.Broadcasts, cliutil.FormatTagCounts(res.Stats.ByTag))
-}
-
-// WriteChurnOHPBlock writes the churn detector report.
-func WriteChurnOHPBlock(w io.Writer, n int, res hds.ChurnOHPResult) {
-	fmt.Fprintln(w, "detector verified ✔ (◇HP̄ + HΩ over the eventually-up set)")
-	fmt.Fprintf(w, "  eventually up:    %d/%d (correct in the strict sense: %d)\n", res.EventuallyUp, n, res.Correct)
-	fmt.Fprintf(w, "  recoveries:       %d\n", res.Recoveries)
-	fmt.Fprintf(w, "  last change:      t=%d\n", res.LastChange)
-	fmt.Fprintf(w, "  ◇HP̄ re-stab:     t=%d\n", res.TrustedRestab)
-	fmt.Fprintf(w, "  HΩ re-stab:       t=%d  leader=%s\n", res.LeaderRestab, res.Leader)
+// WriteOHPBlock writes the verified-detector report, in the crash-stop or
+// the churn form depending on the scenario.
+func WriteOHPBlock(w io.Writer, sc *Scenario, res hds.OHPResult) {
+	if sc.Churn.Fraction > 0 {
+		fmt.Fprintln(w, "detector verified ✔ (◇HP̄ + HΩ over the eventually-up set)")
+		fmt.Fprintf(w, "  eventually up:    %d/%d (correct in the strict sense: %d)\n", res.EventuallyUp, sc.Meta.N, res.Correct)
+		fmt.Fprintf(w, "  recoveries:       %d\n", res.Recoveries)
+		fmt.Fprintf(w, "  last change:      t=%d\n", res.LastChange)
+		fmt.Fprintf(w, "  ◇HP̄ re-stab:     t=%d\n", res.TrustedStabilization)
+		fmt.Fprintf(w, "  HΩ re-stab:       t=%d  leader=%s\n", res.LeaderStabilization, res.Leader)
+	} else {
+		fmt.Fprintln(w, "detector verified ✔ (◇HP̄ + HΩ)")
+		fmt.Fprintf(w, "  ◇HP̄ stabilized:  t=%d\n", res.TrustedStabilization)
+		fmt.Fprintf(w, "  HΩ stabilized:    t=%d  leader=%s\n", res.LeaderStabilization, res.Leader)
+	}
 	fmt.Fprintf(w, "  broadcasts:       %d — %s\n", res.Stats.Broadcasts, cliutil.FormatTagCounts(res.Stats.ByTag))
 }
 

@@ -25,7 +25,7 @@ import (
 func chainNet(t testing.TB, m *trace.Meta) sim.Model {
 	t.Helper()
 	var net sim.Model = hds.Async{MaxDelay: 8}
-	if m.GST > 0 {
+	if m.GST > 0 || m.Algo == "ohp" {
 		net = hds.PartialSync{GST: m.GST, Delta: m.Delta}
 	}
 	if m.Net != "" {
@@ -64,41 +64,19 @@ func liveRun(t testing.TB, m *trace.Meta) (string, []trace.Event) {
 
 	switch m.Algo {
 	case "ohp":
-		netGiven := m.Net != "" || m.GST > 0
 		if churn.Fraction > 0 {
-			var cnet sim.Model
-			if netGiven {
-				cnet = net
-			}
-			effective := cnet
-			if effective == nil {
-				effective = sim.PartialSync{Delta: 3}
-			}
-			fmt.Fprintf(&buf, "algo=ohp ids=%v churn=%s net=%s seed=%d\n", ids, churn, effective, m.Seed)
-			res, err := hds.RunChurnOHP(hds.ChurnOHPExperiment{
-				IDs: ids, Churn: churn, Net: cnet, Seed: m.Seed, Horizon: m.Horizon, Trace: rec,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			replay.WriteChurnOHPBlock(&buf, m.N, res)
-			break
+			fmt.Fprintf(&buf, "algo=ohp ids=%v churn=%s net=%s seed=%d\n", ids, churn, net, m.Seed)
+		} else {
+			fmt.Fprintf(&buf, "algo=ohp ids=%v crashes=%d net=%s seed=%d\n", ids, len(sched), net, m.Seed)
 		}
-		exp := hds.OHPExperiment{
-			IDs: ids, Crashes: sched, GST: m.GST, Delta: m.Delta,
+		res, err := hds.RunOHP(hds.OHPExperiment{
+			IDs: ids, Churn: churn, Crashes: sched, Net: net,
 			Seed: m.Seed, Horizon: m.Horizon, Trace: rec,
-		}
-		var effective sim.Model = sim.PartialSync{GST: m.GST, Delta: m.Delta}
-		if netGiven {
-			exp.Net = net
-			effective = net
-		}
-		fmt.Fprintf(&buf, "algo=ohp ids=%v crashes=%d net=%s seed=%d\n", ids, len(sched), effective, m.Seed)
-		res, err := hds.RunOHP(exp)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		replay.WriteOHPBlock(&buf, res)
+		replay.WriteOHPBlock(&buf, &replay.Scenario{Meta: m, Churn: churn}, res)
 
 	case "heartbeat":
 		fmt.Fprintf(&buf, "algo=heartbeat n=%d ℓ=%d beaters=%s churn=%s net=%s period=%d seed=%d\n",
@@ -124,62 +102,29 @@ func liveRun(t testing.TB, m *trace.Meta) (string, []trace.Event) {
 		}
 		fmt.Fprintf(&buf, "algo=%s n=%d ℓ=%d ids=%v crashes=%s churn=%s seed=%d\n",
 			m.Algo, m.N, m.L, ids, m.Crashes, m.Churn, m.Seed)
-		var rep hds.Report
-		var stats hds.Stats
-		var churnRes *hds.ChurnConsensusResult
-		switch m.Algo {
-		case "fig8":
+		var res hds.ChurnConsensusResult
+		if m.Algo == "fig8" {
 			src := hds.OracleDetectors
 			if m.Detectors == "mp" {
 				src = hds.MessagePassingDetectors
 			}
-			if churn.Fraction > 0 {
-				res, err := hds.RunChurnFig8(hds.ChurnFig8Experiment{
-					IDs: ids, T: m.T, Churn: churn, Crashes: sched, Net: net,
-					Detectors: src, Stabilize: m.Stabilize, Adversary: adv, Seed: m.Seed,
-					Horizon: horizon, Trace: rec,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				churnRes, rep, stats = &res, res.Report, res.Stats
-			} else if rep, stats, err = hds.RunFig8(hds.Fig8Experiment{
-				IDs: ids, T: m.T, Crashes: sched, Net: net,
+			res, err = hds.RunChurnFig8(hds.Fig8Experiment{
+				IDs: ids, T: m.T, Churn: churn, Crashes: sched, Net: net,
 				Detectors: src, Stabilize: m.Stabilize, Adversary: adv, Seed: m.Seed,
 				Horizon: horizon, Trace: rec,
-			}); err != nil {
-				t.Fatal(err)
-			}
-		default: // fig9, fig9-anon
-			if churn.Fraction > 0 {
-				res, err := hds.RunChurnFig9(hds.ChurnFig9Experiment{
-					IDs: ids, Churn: churn, Crashes: sched, Net: net,
-					AnonymousBaseline: m.Algo == "fig9-anon",
-					Stabilize:         m.Stabilize, Adversary: adv, Seed: m.Seed,
-					Horizon: horizon, Trace: rec,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				churnRes, rep, stats = &res, res.Report, res.Stats
-			} else if rep, stats, err = hds.RunFig9(hds.Fig9Experiment{
-				IDs: ids, Crashes: sched, Net: net,
+			})
+		} else { // fig9, fig9-anon
+			res, err = hds.RunChurnFig9(hds.Fig9Experiment{
+				IDs: ids, Churn: churn, Crashes: sched, Net: net,
 				AnonymousBaseline: m.Algo == "fig9-anon",
 				Stabilize:         m.Stabilize, Adversary: adv, Seed: m.Seed,
 				Horizon: horizon, Trace: rec,
-			}); err != nil {
-				t.Fatal(err)
-			}
+			})
 		}
-		var ci *replay.ChurnInfo
-		if churnRes != nil {
-			ci = &replay.ChurnInfo{
-				EventuallyUp: churnRes.EventuallyUp, Correct: churnRes.Correct,
-				Recoveries: churnRes.Recoveries, LastChange: churnRes.LastChange,
-				DecideAfterChurn: churnRes.DecideAfterChurn,
-			}
+		if err != nil {
+			t.Fatal(err)
 		}
-		replay.WriteConsensusBlock(&buf, m.N, rep, ci, stats)
+		replay.WriteConsensusBlock(&buf, &replay.Scenario{Meta: m, Churn: churn}, res)
 	}
 	return buf.String(), rec.Events()
 }
@@ -362,18 +307,26 @@ func TestVerifyDetectsTamperedTrace(t *testing.T) {
 		}
 	})
 
-	// A crafted fingerprint with an impossible system size must be refused
-	// at the boundary, not panic inside the identifier assignment.
+	// A crafted fingerprint with an impossible system size or timing must
+	// be refused at the boundary: not panic inside the identifier
+	// assignment, not allocate 2³⁴ identifiers, and not run with a δ the
+	// network model would silently replace.
 	for _, bad := range []struct {
-		name string
-		n, l int
-	}{{"N=0", 0, 1}, {"L>N", 3, 5}} {
+		name  string
+		forge func(*trace.Meta)
+	}{
+		{"N=0", func(m *trace.Meta) { m.N, m.L = 0, 1 }},
+		{"L>N", func(m *trace.Meta) { m.N, m.L = 3, 5 }},
+		{"N=2^34", func(m *trace.Meta) { m.N, m.L = 1<<34, 1 }},
+		{"Delta=0", func(m *trace.Meta) { m.Delta = 0 }},
+		{"GST<0", func(m *trace.Meta) { m.GST = -5 }},
+	} {
 		t.Run(bad.name, func(t *testing.T) {
 			forged := *m
-			forged.N, forged.L = bad.n, bad.l
+			bad.forge(&forged)
 			err := replay.Verify(&forged, trace.NewSliceSource(events), new(bytes.Buffer))
 			if err == nil || !strings.Contains(err.Error(), "replay:") {
-				t.Fatalf("want a size error, got: %v", err)
+				t.Fatalf("want a validation error, got: %v", err)
 			}
 		})
 	}
@@ -384,6 +337,32 @@ func TestVerifyDetectsTamperedTrace(t *testing.T) {
 			t.Fatalf("want the missing-metadata error, got: %v", err)
 		}
 	})
+}
+
+// TestBuildScenarioNet pins the network chain a fingerprint resolves to —
+// the one rule the live driver and a replay share.
+func TestBuildScenarioNet(t *testing.T) {
+	for _, tc := range []struct {
+		meta trace.Meta
+		want string
+	}{
+		{trace.Meta{Algo: "fig8", N: 5, L: 2, Delta: 3}, "async[1..8]"},
+		{trace.Meta{Algo: "fig8", N: 5, L: 2, GST: 50, Delta: 4}, "partial-sync[GST=50 δ=4]"},
+		{trace.Meta{Algo: "ohp", N: 5, L: 2, Delta: 3}, "partial-sync[GST=0 δ=3]"},
+		// ohp runs in HPS at any -gst, with the given δ, under churn too.
+		{trace.Meta{Algo: "ohp", N: 5, L: 2, Churn: "0.2:1", Delta: 5}, "partial-sync[GST=0 δ=5]"},
+		{trace.Meta{Algo: "ohp", N: 5, L: 2, Net: "timely:2", Delta: 3}, "timely[δ=2]"},
+		// Partitions wrap whichever model results, ohp's default included.
+		{trace.Meta{Algo: "ohp", N: 5, L: 2, Delta: 3, Partitions: "10-40@2"}, "part[partial-sync[GST=0 δ=3] 10-40@2]"},
+	} {
+		sc, err := replay.BuildScenario(&tc.meta)
+		if err != nil {
+			t.Fatalf("%+v: %v", tc.meta, err)
+		}
+		if got := sc.Net.String(); got != tc.want {
+			t.Errorf("%+v: net %s, want %s", tc.meta, got, tc.want)
+		}
+	}
 }
 
 // BenchmarkReplayVerify measures offline re-verification throughput over

@@ -18,9 +18,12 @@ import (
 // it was recorded. A verification failure is returned as an error, with
 // the same message the live checkers would have produced.
 func Verify(m *trace.Meta, src trace.EventSource, w io.Writer) error {
+	if m == nil {
+		return fmt.Errorf("replay: trace carries no scenario metadata (recorded by an older hdsim?)")
+	}
 	sc, err := BuildScenario(m)
 	if err != nil {
-		return err
+		return fmt.Errorf("replay: %w", err)
 	}
 	switch m.Algo {
 	case "fig8", "fig9", "fig9-anon":
@@ -58,35 +61,17 @@ func verifyConsensus(sc *Scenario, src trace.EventSource, w io.Writer) error {
 		return err
 	}
 
-	proposals := hds.DefaultProposals(n)
-	outcomes := tracker.Outcomes()
-	var churn *ChurnInfo
-	var rep hds.Report
-	if sc.Churn.Fraction > 0 {
-		_, truth, err := hds.FaultPattern(sc.IDs, sc.Churn, sc.Crashes, sc.Horizon)
-		if err != nil {
-			return err
-		}
-		if rep, err = check.ConsensusChurn(truth, proposals, outcomes); err != nil {
-			return err
-		}
-		churn = &ChurnInfo{
-			EventuallyUp: len(truth.EventuallyUp()),
-			Correct:      len(truth.Correct()),
-			Recoveries:   recoveries,
-			LastChange:   truth.LastChange(),
-		}
-		if rep.LastDecision > churn.LastChange {
-			churn.DecideAfterChurn = rep.LastDecision - churn.LastChange
-		}
-	} else {
-		truth := fd.NewGroundTruth(sc.IDs, sc.Crashes)
-		var err error
-		if rep, err = check.Consensus(truth, proposals, outcomes); err != nil {
-			return err
-		}
+	_, truth, err := hds.FaultPattern(sc.IDs, sc.Churn, sc.Crashes, sc.Horizon)
+	if err != nil {
+		return err
 	}
-	WriteConsensusBlock(w, n, rep, churn, rec.Stats())
+	res, err := hds.CheckConsensus(sc.Churn, truth, hds.DefaultProposals(n), tracker.Outcomes())
+	if err != nil {
+		return err
+	}
+	res.Recoveries = recoveries
+	res.Stats = rec.Stats()
+	WriteConsensusBlock(w, sc, res)
 	return nil
 }
 
@@ -115,53 +100,17 @@ func verifyOHP(sc *Scenario, src trace.EventSource, w io.Writer) error {
 		return err
 	}
 
-	if sc.Churn.Fraction > 0 {
-		_, truth, err := hds.FaultPattern(sc.IDs, sc.Churn, nil, sc.Horizon)
-		if err != nil {
-			return err
-		}
-		resT, err := fd.CheckDiamondHPbar(truth, trusted.Probe())
-		if err != nil {
-			return err
-		}
-		resL, err := fd.CheckHOmega(truth, leader.Probe())
-		if err != nil {
-			return err
-		}
-		res := hds.ChurnOHPResult{
-			LastChange:    truth.LastChange(),
-			TrustedRestab: resT.StabilizationTime,
-			LeaderRestab:  resL.StabilizationTime,
-			EventuallyUp:  len(truth.EventuallyUp()),
-			Correct:       len(truth.Correct()),
-			Recoveries:    recoveries,
-			Stats:         rec.Stats(),
-		}
-		if up := truth.EventuallyUp(); len(up) > 0 {
-			res.Leader, _ = leader.Probe().Last(up[0])
-		}
-		WriteChurnOHPBlock(w, n, res)
-		return nil
-	}
-
-	truth := fd.NewGroundTruth(sc.IDs, sc.Crashes)
-	resT, err := fd.CheckDiamondHPbar(truth, trusted.Probe())
+	_, truth, err := hds.FaultPattern(sc.IDs, sc.Churn, sc.Crashes, sc.Horizon)
 	if err != nil {
 		return err
 	}
-	resL, err := fd.CheckHOmega(truth, leader.Probe())
+	res, err := hds.CheckOHP(truth, trusted.Probe(), leader.Probe())
 	if err != nil {
 		return err
 	}
-	res := hds.OHPResult{
-		TrustedStabilization: resT.StabilizationTime,
-		LeaderStabilization:  resL.StabilizationTime,
-		Stats:                rec.Stats(),
-	}
-	if correct := truth.Correct(); len(correct) > 0 {
-		res.Leader, _ = leader.Probe().Last(correct[0])
-	}
-	WriteOHPBlock(w, res)
+	res.Recoveries = recoveries
+	res.Stats = rec.Stats()
+	WriteOHPBlock(w, sc, res)
 	return nil
 }
 
